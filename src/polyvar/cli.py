@@ -1,6 +1,7 @@
 """Command-line interface: generate, analyze, offset, stability, flow.
 
-Exit codes: 0 success, 2 input or validation error, 3 numerical degeneracy.
+Exit codes: 0 success, 2 input or validation error, 3 numerical degeneracy;
+a library error exits with its class's exit_code (see polyvar.errors).
 Data goes to the files named by --out (and to stdout only under --stdout);
 stderr carries human-readable diagnostics.
 """
@@ -8,7 +9,6 @@ stderr carries human-readable diagnostics.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -17,50 +17,11 @@ from . import io as pio
 from . import svg
 from .curvature import SCHEMES
 from .curves import regular_polygon, total_length
-from .errors import (
-    CuspAdjacent,
-    CuspPresent,
-    CuspVertex,
-    EdgeCollapse,
-    InternalInconsistency,
-    InvalidWinding,
-    KappaZero,
-    MeanNotZero,
-    NonIntegerTurning,
-    NotEquilibrium,
-    OpenCurve,
-    SchemeInapplicable,
-    TooFewVertices,
-    ZeroEdge,
-    ZeroVolumeGradient,
-)
+from .errors import CurveError, EdgeCollapse
 from .flow import FlowConfig, lagrange_kappa, run_flow
 from .offsets import offset_length, offset_polygon
 from .stability import certificate_coefficient, jacobi_spectrum
 from .variation import classify_equilibrium
-
-VALIDATION_ERRORS = (
-    TooFewVertices,
-    ZeroEdge,
-    InvalidWinding,
-    OpenCurve,
-    SchemeInapplicable,
-    KappaZero,
-    MeanNotZero,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
-DEGENERACY_ERRORS = (
-    CuspVertex,
-    CuspAdjacent,
-    CuspPresent,
-    EdgeCollapse,
-    ZeroVolumeGradient,
-    NonIntegerTurning,
-    InternalInconsistency,
-    NotEquilibrium,
-)
 
 
 def _fail(message: str, code: int) -> int:
@@ -286,9 +247,9 @@ def main(argv=None) -> int:
         return _fail("nothing to do: pass --out and/or --stdout", 2)
     try:
         return args.func(args)
-    except DEGENERACY_ERRORS as exc:
-        return _fail(str(exc), 3)
-    except VALIDATION_ERRORS as exc:
+    except CurveError as exc:
+        return _fail(str(exc), exc.exit_code)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import CUSP_TOL, DiscreteCurve, edge_lengths, edge_vectors, turning_angles
+from .curves import DiscreteCurve, _check_index
 from .errors import CuspAdjacent, SchemeInapplicable
 
 SCHEMES = ("vertex_osculating", "arclength", "hatakeyama", "half_edge_sum")
@@ -30,7 +30,7 @@ ARCLENGTH_UNIFORM_TOL = 1e-9
 
 def _adjacent_edge_lengths(curve: DiscreteCurve):
     """(l_{k-1}, l_k) per vertex; NaN where the edge does not exist (open ends)."""
-    l = edge_lengths(curve)
+    l = curve.edge_lengths
     if curve.closed:
         return np.roll(l, 1), l
     l_prev = np.full(curve.n, np.nan)
@@ -68,10 +68,8 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
     if scheme == "half_edge_sum":
         return 0.5 * (l_prev + l_next)
 
-    theta = turning_angles(curve)
-    with np.errstate(invalid="ignore"):
-        half_cos = np.cos(0.5 * theta)
-        cusp = 1.0 + np.cos(theta) <= CUSP_TOL
+    half_cos = np.cos(0.5 * curve.turning_angles)
+    cusp = curve.cusp_mask
     if scheme == "vertex_osculating":
         pts = curve.points
         if curve.closed:
@@ -85,7 +83,7 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
         out[~(out > 0)] = np.nan  # folded vertex (chord = 0)
         return out
     if scheme == "arclength":
-        l = edge_lengths(curve)
+        l = curve.edge_lengths
         l_mean = l.mean()
         if np.max(np.abs(l - l_mean)) / l_mean >= ARCLENGTH_UNIFORM_TOL:
             raise SchemeInapplicable("arclength scheme requires uniform edge lengths")
@@ -97,8 +95,7 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
 
 
 def line_element(curve: DiscreteCurve, scheme, k: int) -> float:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     value = line_elements(curve, scheme)[k]
     if not np.isfinite(value):
         raise SchemeInapplicable(f"scheme undefined at vertex {k}")
@@ -110,7 +107,7 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
 
     Equals minus the length gradient over L_k; independent of sigma.
     """
-    t = edge_vectors(curve) / edge_lengths(curve)[:, None]
+    t = curve.tangents
     if curve.closed:
         dt = t - np.roll(t, 1, axis=0)
     else:
@@ -120,8 +117,7 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     v = curvature_vectors(curve, scheme)[k]
     if not np.all(np.isfinite(v)):
         raise SchemeInapplicable(f"scheme undefined at vertex {k}")
@@ -130,14 +126,13 @@ def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
 
 def vertex_curvatures(curve: DiscreteCurve, scheme) -> np.ndarray:
     """Signed curvature kappa(p_k) = 2 sin(theta_k/2) / L_k per vertex."""
-    theta = turning_angles(curve)
+    theta = curve.turning_angles
     with np.errstate(invalid="ignore"):
         return 2.0 * np.sin(0.5 * theta) / line_elements(curve, scheme)
 
 
 def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     value = vertex_curvatures(curve, scheme)[k]
     if not np.isfinite(value):
         raise SchemeInapplicable(f"scheme undefined at vertex {k}")
@@ -146,9 +141,7 @@ def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
 
 def _edge_endpoint_angles(curve: DiscreteCurve):
     """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
-    theta = turning_angles(curve)
-    with np.errstate(invalid="ignore"):
-        theta = np.where(1.0 + np.cos(theta) <= CUSP_TOL, np.nan, theta)
+    theta = np.where(curve.cusp_mask, np.nan, curve.turning_angles)
     if curve.closed:
         return theta, np.roll(theta, -1)
     return theta[:-1], theta[1:]
@@ -158,12 +151,13 @@ def edge_line_elements(curve: DiscreteCurve) -> np.ndarray:
     """Edge line element L'_k = l_k cos(theta_k/2) cos(theta_{k+1}/2)."""
     th0, th1 = _edge_endpoint_angles(curve)
     with np.errstate(invalid="ignore"):
-        out = edge_lengths(curve) * np.cos(0.5 * th0) * np.cos(0.5 * th1)
+        out = curve.edge_lengths * np.cos(0.5 * th0) * np.cos(0.5 * th1)
     out[~(out > 0)] = np.nan
     return out
 
 
 def edge_line_element(curve: DiscreteCurve, k: int) -> float:
+    _check_index(curve, k, edge=True)
     value = edge_line_elements(curve)[k]
     if not np.isfinite(value):
         raise CuspAdjacent(k)
@@ -174,10 +168,11 @@ def edge_curvatures(curve: DiscreteCurve) -> np.ndarray:
     """Edge curvature kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k."""
     th0, th1 = _edge_endpoint_angles(curve)
     with np.errstate(invalid="ignore"):
-        return (np.tan(0.5 * th0) + np.tan(0.5 * th1)) / edge_lengths(curve)
+        return (np.tan(0.5 * th0) + np.tan(0.5 * th1)) / curve.edge_lengths
 
 
 def edge_curvature(curve: DiscreteCurve, k: int) -> float:
+    _check_index(curve, k, edge=True)
     value = edge_curvatures(curve)[k]
     if not np.isfinite(value):
         raise CuspAdjacent(k)
@@ -191,7 +186,7 @@ def discrete_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
         dpsi = np.roll(psi, -1) - psi
     else:
         dpsi = psi[1:] - psi[:-1]
-    return dpsi / edge_lengths(curve)
+    return dpsi / curve.edge_lengths
 
 
 def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
@@ -211,4 +206,4 @@ def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
 def dirichlet_energy(curve: DiscreteCurve, psi) -> float:
     """(1/2) sum |grad psi_k|^2 l_k over the edges."""
     g = discrete_gradient(curve, psi)
-    return 0.5 * float(np.sum(g * g * edge_lengths(curve)))
+    return 0.5 * float(np.sum(g * g * curve.edge_lengths))

@@ -6,12 +6,26 @@ rotation ``R`` (by ``sigma * pi/2``) used to turn unit edge directions into
 edge normals; every signed quantity downstream (turning angles, enclosed
 area, curvatures) inherits this convention.  The default ``sigma = -1``
 makes normals of counterclockwise convex polygons point outward.
+
+Every quantity downstream is built from one set of per-edge and per-vertex
+arrays.  A curve computes each of them once, on first use, and keeps it as a
+read-only attribute (m = edge_count):
+
+  edge_vectors    (m, 2)  p_{k+1} - p_k
+  edge_lengths    (m,)    l_k = |p_{k+1} - p_k|
+  tangents        (m, 2)  unit edge directions t_k
+  edge_normals    (m, 2)  nu_k = R t_k
+  turning_angles  (n,)    theta_k in (-pi, pi], NaN at open-curve ends
+  cusp_mask       (n,)    True where 1 + cos(theta_k) <= CUSP_TOL
+
+The module functions of the same names return these arrays.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +53,18 @@ def rot90(vectors, sigma):
     out[..., 0] = -sigma * v[..., 1]
     out[..., 1] = sigma * v[..., 0]
     return out
+
+
+def _edge_vectors(pts: np.ndarray, closed: bool) -> np.ndarray:
+    diffs = pts[1:] - pts[:-1]
+    if closed:
+        diffs = np.vstack([diffs, pts[:1] - pts[-1:]])
+    return diffs
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -69,15 +95,11 @@ class DiscreteCurve:
             raise TooFewVertices(f"{n} vertices (closed={self.closed})")
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        diffs = pts[1:] - pts[:-1]
-        if self.closed:
-            diffs = np.vstack([diffs, pts[:1] - pts[-1:]])
-        lengths = np.hypot(diffs[:, 0], diffs[:, 1])
-        zero = np.flatnonzero(lengths == 0.0)
+        e = _edge_vectors(pts, self.closed)
+        zero = np.flatnonzero(np.hypot(e[:, 0], e[:, 1]) == 0.0)
         if zero.size:
             raise ZeroEdge(int(zero[0]))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "sigma", int(self.sigma))
 
     @property
@@ -89,7 +111,7 @@ class DiscreteCurve:
         return self.n if self.closed else self.n - 1
 
     def is_interior(self, k: int) -> bool:
-        return self.closed or 0 < k < self.n - 1
+        return 0 <= k < self.n and (self.closed or 0 < k < self.n - 1)
 
     def interior_range(self) -> range:
         return range(self.n) if self.closed else range(1, self.n - 1)
@@ -102,6 +124,65 @@ class DiscreteCurve:
         """Bounding-box diagonal; the length scale used by tolerances."""
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.hypot(span[0], span[1]))
+
+    @cached_property
+    def edge_vectors(self) -> np.ndarray:
+        return _frozen(_edge_vectors(self.points, self.closed))
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        e = self.edge_vectors
+        return _frozen(np.hypot(e[:, 0], e[:, 1]))
+
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        return _frozen(self.edge_vectors / self.edge_lengths[:, None])
+
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        return _frozen(rot90(self.tangents, self.sigma))
+
+    @cached_property
+    def _snapped_angles(self):
+        """(theta, cusp mask), theta already snapped to pi at cusps."""
+        t = self.tangents
+        if self.closed:
+            prev, cur = np.roll(t, 1, axis=0), t
+        else:
+            prev, cur = t[:-1], t[1:]
+        cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
+        dot = prev[:, 0] * cur[:, 0] + prev[:, 1] * cur[:, 1]
+        theta = self.sigma * np.arctan2(cross, dot)
+        if not self.closed:
+            theta = np.concatenate([[np.nan], theta, [np.nan]])
+        with np.errstate(invalid="ignore"):
+            cusp = 1.0 + np.cos(theta) <= CUSP_TOL
+        theta[cusp] = np.pi
+        return _frozen(theta), _frozen(cusp)
+
+    @property
+    def cusp_mask(self) -> np.ndarray:
+        return self._snapped_angles[1]
+
+    @cached_property
+    def turning_angles(self) -> np.ndarray:
+        theta, cusp = self._snapped_angles
+        if cusp.any():
+            warnings.warn(CuspWarning(f"cusp at vertices {np.flatnonzero(cusp).tolist()}"))
+        return theta
+
+
+def _check_index(curve: DiscreteCurve, k: int, edge: bool = False) -> None:
+    """IndexError unless k is an interior vertex (or, with edge=True, an edge)."""
+    if not (0 <= k < curve.edge_count if edge else curve.is_interior(k)):
+        raise IndexError(f"{'edge' if edge else 'vertex'} index {k} out of range")
+
+
+def _check_winding(n: int, m: int) -> None:
+    if 2 * m == n:
+        raise InvalidWinding(f"m/n = 1/2 rejected (m = {m}, n = {n})")
+    if not 1 <= m <= n - 1:
+        raise InvalidWinding(f"m = {m} outside 1..{n - 1}")
 
 
 def make_curve(points, closed: bool = True, sigma: int = -1) -> DiscreteCurve:
@@ -120,10 +201,7 @@ def regular_polygon(n, m=1, a=1.0, center=(0.0, 0.0), phase=0.0, sigma=-1) -> Di
     m = int(m)
     if n < 3:
         raise TooFewVertices(f"{n} vertices")
-    if 2 * m == n:
-        raise InvalidWinding(f"m/n = 1/2 rejected (m = {m}, n = {n})")
-    if not 1 <= m <= n - 1:
-        raise InvalidWinding(f"m = {m} outside 1..{n - 1}")
+    _check_winding(n, m)
     if not a > 0:
         raise ValueError("radius a must be positive")
     angles = 2.0 * np.pi * m * np.arange(n) / n + phase
@@ -133,89 +211,45 @@ def regular_polygon(n, m=1, a=1.0, center=(0.0, 0.0), phase=0.0, sigma=-1) -> Di
 
 def edge_vectors(curve: DiscreteCurve) -> np.ndarray:
     """p_{k+1} - p_k for every edge k."""
-    pts = curve.points
-    diffs = pts[1:] - pts[:-1]
-    if curve.closed:
-        diffs = np.vstack([diffs, pts[:1] - pts[-1:]])
-    return diffs
+    return curve.edge_vectors
 
 
 def edge_lengths(curve: DiscreteCurve) -> np.ndarray:
-    e = edge_vectors(curve)
-    return np.hypot(e[:, 0], e[:, 1])
+    return curve.edge_lengths
 
 
 def edge_normals(curve: DiscreteCurve) -> np.ndarray:
     """Unit edge normals nu_k = R((p_{k+1} - p_k) / l_k)."""
-    e = edge_vectors(curve)
-    return rot90(e / edge_lengths(curve)[:, None], curve.sigma)
+    return curve.edge_normals
 
 
 def edge_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    if not 0 <= k < curve.edge_count:
-        raise IndexError(f"edge index {k} out of range")
-    return edge_normals(curve)[k]
-
-
-def _direction_angles(curve: DiscreteCurve):
-    """Signed angle phi_k rotating edge direction k-1 onto edge direction k.
-
-    Returned per interior vertex in a length-n array (NaN at the boundary
-    vertices of an open curve).  theta_k = sigma * phi_k.
-    """
-    e = edge_vectors(curve)
-    t = e / edge_lengths(curve)[:, None]
-    if curve.closed:
-        prev = np.roll(t, 1, axis=0)
-        cur = t
-    else:
-        prev = t[:-1]
-        cur = t[1:]
-    cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
-    dot = prev[:, 0] * cur[:, 0] + prev[:, 1] * cur[:, 1]
-    phi = np.arctan2(cross, dot)
-    if curve.closed:
-        return phi
-    full = np.full(curve.n, np.nan)
-    full[1:-1] = phi
-    return full
+    _check_index(curve, k, edge=True)
+    return curve.edge_normals[k]
 
 
 def turning_angles(curve: DiscreteCurve) -> np.ndarray:
     """Signed turning angle theta_k at every vertex (NaN at open-curve ends).
 
     Defined by R_{sigma * theta_k}(nu_{k-1}) = nu_k with theta_k in (-pi, pi].
-    Antiparallel edges give theta_k = +pi and emit a CuspWarning.
+    Antiparallel edges give theta_k = +pi and emit a CuspWarning, once per
+    curve.
     """
-    theta = curve.sigma * _direction_angles(curve)
-    with np.errstate(invalid="ignore"):
-        cusp = 1.0 + np.cos(theta) <= CUSP_TOL
-    if np.any(cusp):
-        theta[cusp] = np.pi
-        warnings.warn(CuspWarning(f"cusp at vertices {np.flatnonzero(cusp).tolist()}"))
-    return theta
+    return curve.turning_angles
 
 
 def turning_angle(curve: DiscreteCurve, k: int) -> float:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
-    return float(turning_angles(curve)[k])
+    _check_index(curve, k)
+    return float(curve.turning_angles[k])
 
 
 def cusp_vertices(curve: DiscreteCurve) -> np.ndarray:
     """Indices of interior vertices whose adjacent edges are antiparallel."""
-    e = edge_vectors(curve)
-    t = e / edge_lengths(curve)[:, None]
-    if curve.closed:
-        prev, cur, offset = np.roll(t, 1, axis=0), t, 0
-    else:
-        prev, cur, offset = t[:-1], t[1:], 1
-    cos_theta = prev[:, 0] * cur[:, 0] + prev[:, 1] * cur[:, 1]
-    return np.flatnonzero(1.0 + cos_theta <= CUSP_TOL) + offset
+    return np.flatnonzero(curve.cusp_mask)
 
 
 def total_length(curve: DiscreteCurve) -> float:
-    return float(edge_lengths(curve).sum())
+    return float(curve.edge_lengths.sum())
 
 
 def enclosed_volume(curve: DiscreteCurve) -> float:
@@ -223,7 +257,7 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
     if not curve.closed:
         raise OpenCurve("enclosed volume requires a closed curve")
     pts = curve.points
-    re = rot90(edge_vectors(curve), curve.sigma)
+    re = rot90(curve.edge_vectors, curve.sigma)
     return 0.5 * float(np.sum(pts[:, 0] * re[:, 0] + pts[:, 1] * re[:, 1]))
 
 
@@ -231,7 +265,7 @@ def turning_number(curve: DiscreteCurve) -> int:
     """Integer m with sum(theta_k) = 2*pi*m."""
     if not curve.closed:
         raise OpenCurve("turning number requires a closed curve")
-    if cusp_vertices(curve).size:
+    if curve.cusp_mask.any():
         raise CuspPresent("turning number undefined with cusp vertices")
     total = float(turning_angles(curve).sum())
     m = round(total / (2.0 * np.pi))

@@ -2,74 +2,88 @@
 
 
 class CurveError(Exception):
-    """Base class for all polyvar errors."""
+    """Base class for all polyvar errors; exit_code is the CLI's exit status."""
+
+    exit_code: int
 
 
-class TooFewVertices(CurveError):
+class ValidationError(CurveError):
+    """The input is invalid for the requested operation."""
+
+    exit_code = 2
+
+
+class DegeneracyError(CurveError):
+    """The input is valid but numerically degenerate for the operation."""
+
+    exit_code = 3
+
+
+class TooFewVertices(ValidationError):
     pass
 
 
-class ZeroEdge(CurveError):
+class ZeroEdge(ValidationError):
     def __init__(self, k):
         super().__init__(f"edge {k} has zero length")
         self.k = k
 
 
-class InvalidWinding(CurveError):
+class InvalidWinding(ValidationError):
     pass
 
 
-class OpenCurve(CurveError):
+class OpenCurve(ValidationError):
     pass
 
 
-class CuspVertex(CurveError):
+class CuspVertex(DegeneracyError):
     def __init__(self, k):
         super().__init__(f"vertex {k} is a cusp (turning angle = pi)")
         self.k = k
 
 
-class CuspAdjacent(CurveError):
+class CuspAdjacent(DegeneracyError):
     def __init__(self, k):
         super().__init__(f"edge {k} has a cusp endpoint")
         self.k = k
 
 
-class CuspPresent(CurveError):
+class CuspPresent(DegeneracyError):
     pass
 
 
-class NonIntegerTurning(CurveError):
+class NonIntegerTurning(DegeneracyError):
     pass
 
 
-class SchemeInapplicable(CurveError):
+class SchemeInapplicable(ValidationError):
     pass
 
 
-class KappaZero(CurveError):
+class KappaZero(ValidationError):
     pass
 
 
-class MeanNotZero(CurveError):
+class MeanNotZero(ValidationError):
     pass
 
 
-class NotEquilibrium(CurveError):
+class NotEquilibrium(DegeneracyError):
     pass
 
 
-class InternalInconsistency(CurveError):
+class InternalInconsistency(DegeneracyError):
     pass
 
 
-class EdgeCollapse(CurveError):
+class EdgeCollapse(DegeneracyError):
     def __init__(self, k):
         super().__init__(f"offset collapses edge {k}")
         self.k = k
 
 
-class ZeroVolumeGradient(CurveError):
+class ZeroVolumeGradient(DegeneracyError):
     pass
 
 

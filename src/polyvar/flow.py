@@ -149,7 +149,8 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
         snapshots.append(
             FlowSnapshot(
                 step=step,
-                curve=c,
+                # a fresh curve, so that the kept snapshots do not hold cached arrays
+                curve=c.with_points(c.points),
                 length=diag["length"],
                 volume=diag["volume"],
                 max_projected_gradient=diag["max_projected_gradient"],

@@ -158,9 +158,7 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
     if curve.closed:
         doc["enclosed_volume"] = float(enclosed_volume(curve))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CuspWarning)
-                doc["turning_number"] = turning_number(curve)
+            doc["turning_number"] = turning_number(curve)
         except CuspPresent:
             doc["turning_number"] = None
     if equilibrium is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import edge_curvatures
-from .curves import DiscreteCurve, cusp_vertices, edge_lengths, edge_normals, edge_vectors, rot90, turning_angles
+from .curves import DiscreteCurve, _check_index, cusp_vertices, rot90
 from .errors import CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
@@ -34,8 +34,8 @@ def vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     |N_k| = 1/cos(theta_k/2), so N_k is defined (and unit) at straight
     vertices but blows up toward a cusp.
     """
-    nu = edge_normals(curve)
-    theta = turning_angles(curve)
+    nu = curve.edge_normals
+    theta = curve.turning_angles
     if curve.closed:
         nu_sum = nu + np.roll(nu, 1, axis=0)
     else:
@@ -48,8 +48,7 @@ def vertex_normals(curve: DiscreteCurve) -> np.ndarray:
 
 
 def vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     value = vertex_normals(curve)[k]
     if not np.all(np.isfinite(value)):
         raise CuspVertex(k)
@@ -62,8 +61,7 @@ def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
 
 
 def vertex_tangent(curve: DiscreteCurve, k: int) -> np.ndarray:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     value = vertex_tangents(curve)[k]
     if not np.all(np.isfinite(value)):
         raise CuspVertex(k)
@@ -76,8 +74,8 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     The volume-descent counterpart of N_k; the two agree in direction exactly
     when the adjacent edges have equal length.
     """
-    nu = edge_normals(curve)
-    l = edge_lengths(curve)
+    nu = curve.edge_normals
+    l = curve.edge_lengths
     if curve.closed:
         nu_prev, l_prev = np.roll(nu, 1, axis=0), np.roll(l, 1)
         return (l[:, None] * nu + l_prev[:, None] * nu_prev) / (l + l_prev)[:, None]
@@ -87,8 +85,7 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
 
 
 def weighted_vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     return weighted_vertex_normals(curve)[k]
 
 
@@ -132,8 +129,8 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
     bad = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
     if bad.size:
         raise EdgeCollapse(int(bad[0]))
-    predicted = edge_lengths(curve) * factors
-    actual = edge_lengths(parallel_curve(curve, t))
+    predicted = curve.edge_lengths * factors
+    actual = parallel_curve(curve, t).edge_lengths
     return SteinerReport(
         t=float(t),
         predicted_lengths=predicted,
@@ -151,8 +148,8 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     """
     if not curve.closed:
         raise OpenCurve("offset lengths require a closed curve")
-    theta = turning_angles(curve)
-    length = float(edge_lengths(curve).sum())
+    theta = curve.turning_angles
+    length = float(curve.edge_lengths.sum())
     if variant == "segment":
         return length - t * float(np.sum(2.0 * np.sin(0.5 * theta)))
     if variant == "arc":
@@ -175,7 +172,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
     if variant == "segment":
         if not curve.closed:
             raise OpenCurve("segment offsets require a closed curve")
-        nu = edge_normals(curve)
+        nu = curve.edge_normals
         pts = curve.points
         nxt = np.roll(pts, -1, axis=0)
         doubled = np.empty((2 * curve.n, 2))
@@ -194,17 +191,17 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
 def frenet_edge_residuals(curve: DiscreteCurve) -> np.ndarray:
     """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero."""
     N = vertex_normals(curve)
-    l = edge_lengths(curve)
-    t_unit = edge_vectors(curve) / l[:, None]
+    l = curve.edge_lengths
     if curve.closed:
         dN = np.roll(N, -1, axis=0) - N
     else:
         dN = N[1:] - N[:-1]  # NaN endpoints poison the two boundary edges
     kap = edge_curvatures(curve)
-    return dN / l[:, None] + kap[:, None] * t_unit
+    return dN / l[:, None] + kap[:, None] * curve.tangents
 
 
 def frenet_edge_residual(curve: DiscreteCurve, k: int) -> np.ndarray:
+    _check_index(curve, k, edge=True)
     value = frenet_edge_residuals(curve)[k]
     if not np.all(np.isfinite(value)):
         raise CuspVertex(k)

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, edge_lengths, edge_normals, rot90
-from .errors import CuspVertex, InvalidWinding, MeanNotZero, NotEquilibrium, OpenCurve
+from .curves import DiscreteCurve, _check_winding, rot90
+from .errors import CuspVertex, MeanNotZero, NotEquilibrium, OpenCurve
 from .offsets import vertex_normals, vertex_tangents
 from .variation import classify_equilibrium
 
@@ -36,14 +36,16 @@ def qv_form(curve: DiscreteCurve, field) -> float:
 
 
 def ql_form(curve: DiscreteCurve, field) -> float:
-    """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0."""
+    """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
+
+    R nu_k = -t_k, so the projection is taken on the unit tangent.
+    """
     if not curve.closed:
         raise OpenCurve("the length form requires a closed curve")
     v = np.asarray(field, dtype=float)
-    l = edge_lengths(curve)
+    l = curve.edge_lengths
     grad = (np.roll(v, -1, axis=0) - v) / l[:, None]
-    rnu = rot90(edge_normals(curve), curve.sigma)
-    proj = np.sum(grad * rnu, axis=1)
+    proj = np.sum(grad * curve.tangents, axis=1)
     return float(np.sum((np.sum(grad * grad, axis=1) - proj * proj) * l))
 
 
@@ -90,13 +92,6 @@ def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise CuspVertex(int(np.flatnonzero(~np.all(np.isfinite(v), axis=1))[0]))
     return v
-
-
-def _check_winding(n: int, m: int):
-    if 2 * m == n:
-        raise InvalidWinding(f"m/n = 1/2 rejected (m = {m}, n = {n})")
-    if not 1 <= m <= n - 1:
-        raise InvalidWinding(f"m = {m} outside 1..{n - 1}")
 
 
 def regular_polygon_kappa(n: int, m: int, a: float = 1.0) -> float:
@@ -166,14 +161,19 @@ def wirtinger_gap(psi) -> tuple[float, bool]:
     return gap, equality
 
 
+def _jacobi_alpha(n: int, m: int) -> float:
+    """alpha = 1 + 2 tan^2(m pi / n) of the regular polygon (n, m)."""
+    _check_winding(n, m)
+    return 1.0 + 2.0 * np.tan(m * np.pi / n) ** 2
+
+
 def jacobi_matrix(n: int, m: int) -> np.ndarray:
     """Circulant matrix H with first row (2, -alpha, 0, ..., 0, -alpha).
 
     <H psi, psi> / l_0 is the second variation of a normal variation psi on
     the regular polygon (n, m).
     """
-    _check_winding(n, m)
-    alpha = 1.0 + 2.0 * np.tan(m * np.pi / n) ** 2
+    alpha = _jacobi_alpha(n, m)
     H = 2.0 * np.eye(n)
     idx = np.arange(n)
     H[idx, (idx + 1) % n] = -alpha
@@ -197,8 +197,7 @@ def jacobi_spectrum(n: int, m: int) -> SpectrumReport:
     The j = n (constant) eigenvector violates the zero-mean constraint and is
     excluded; the Morse index counts the remaining negative eigenvalues.
     """
-    _check_winding(n, m)
-    alpha = 1.0 + 2.0 * np.tan(m * np.pi / n) ** 2
+    alpha = _jacobi_alpha(n, m)
     j = np.arange(1, n)
     eigenvalues = 2.0 - 2.0 * alpha * np.cos(2.0 * np.pi * j / n)
     negative = j[eigenvalues < 0]

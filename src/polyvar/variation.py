@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    DiscreteCurve,
-    cusp_vertices,
-    edge_lengths,
-    edge_normals,
-    edge_vectors,
-    rot90,
-    turning_angles,
-    turning_number,
-)
+from .curves import DiscreteCurve, _check_index, rot90, turning_number
 from .errors import InternalInconsistency, KappaZero, OpenCurve
 
 
@@ -32,7 +23,7 @@ def length_gradients(curve: DiscreteCurve) -> np.ndarray:
 
     NaN at the boundary vertices of an open curve (they are held fixed).
     """
-    t = edge_vectors(curve) / edge_lengths(curve)[:, None]
+    t = curve.tangents
     if curve.closed:
         return np.roll(t, 1, axis=0) - t
     out = np.full((curve.n, 2), np.nan)
@@ -41,8 +32,7 @@ def length_gradients(curve: DiscreteCurve) -> np.ndarray:
 
 
 def length_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
-    if not curve.is_interior(k):
-        raise IndexError(f"vertex {k} is not interior")
+    _check_index(curve, k)
     return length_gradients(curve)[k]
 
 
@@ -55,7 +45,9 @@ def volume_gradients(curve: DiscreteCurve) -> np.ndarray:
 
 
 def volume_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
-    return volume_gradients(curve)[k]
+    gradients = volume_gradients(curve)  # OpenCurve before IndexError
+    _check_index(curve, k)
+    return gradients[k]
 
 
 def _check_field(curve: DiscreteCurve, field) -> np.ndarray:
@@ -91,7 +83,7 @@ def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Euler-Lagrange residual A_k per vertex; zero iff critical for L + kappa*Vol."""
     if not curve.closed:
         raise OpenCurve("equilibrium residual requires a closed curve")
-    nu = edge_normals(curve)
+    nu = curve.edge_normals
     pts = curve.points
     return (nu - np.roll(nu, 1, axis=0)) + 0.5 * kappa * (
         np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
@@ -103,7 +95,7 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     if not curve.closed:
         raise OpenCurve("conservation vectors require a closed curve")
     pts = curve.points
-    return edge_normals(curve) + 0.5 * kappa * (np.roll(pts, -1, axis=0) + pts)
+    return curve.edge_normals + 0.5 * kappa * (np.roll(pts, -1, axis=0) + pts)
 
 
 @dataclass(frozen=True)
@@ -133,13 +125,11 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     scale = max(1.0, abs(kappa) * curve.diameter())
     is_equilibrium = max_residual <= tol * scale
 
-    l = edge_lengths(curve)
-    theta = turning_angles(curve)
+    l = curve.edge_lengths
+    theta = curve.turning_angles
     l0 = float(l.mean())
     theta0 = float(theta.mean())
-    winding = None
-    if cusp_vertices(curve).size == 0:
-        winding = turning_number(curve)
+    winding = None if curve.cusp_mask.any() else turning_number(curve)
 
     if is_equilibrium:
         # the residual <-> uniformity equivalence carries O(1) geometric

@@ -1,7 +1,7 @@
 """Independent oracles and random-curve generators used across the tests.
 
 Everything here is deliberately written from first principles (plain loops,
-shoelace formula, finite differences, cyclic Jacobi rotations) so it shares
+shoelace formula, finite differences, Jacobi rotations) so it shares
 no code path with the library under test.
 """
 
@@ -57,35 +57,63 @@ def second_derivative(f, h: float) -> float:
     ) / (12.0 * h * h)
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index pairs (p < q) of each round of a round-robin tournament on 0..n-1.
+
+    Every pair meets exactly once over the rounds, and the pairs of one round
+    are disjoint.  An odd n gets a phantom player n; its partner sits out.
+    """
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    rounds = []
+    for _ in range(len(players) - 1):
+        pairs = [(min(x, y), max(x, y)) for x, y in zip(players[:half], players[:half - 1:-1])]
+        pairs = [pair for pair in pairs if pair[1] < n]
+        if pairs:
+            p, q = zip(*pairs)
+            rounds.append((np.array(p), np.array(q)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted."""
+    """Eigenvalues of a symmetric matrix by Jacobi rotations, sorted.
+
+    Parallel ordering (Brent & Luk, 1985): a sweep is the n - 1 rounds of a
+    round robin, and the n/2 disjoint rotations of a round are applied in one
+    array step.  The diagonal takes Rutishauser's update a_pp - t a_pq,
+    a_qq + t a_pq, and the pivot is set to exactly zero.
+    """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     scale = np.sqrt(np.sum(a * a)) + 1.0
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
         if off <= 1e-15 * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = 0.5 * (a[q, q] - a[p, p]) / apq
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
+        for p, q in rounds:
+            apq = a[p, q]
+            app = a[p, p]
+            aqq = a[q, q]
+            rotate = np.abs(apq) > 1e-18 * scale
+            tau = 0.5 * (aqq - app) / np.where(rotate, apq, 1.0)
+            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rp = a[p, :]
+            rq = a[q, :]
+            a[p, :] = c[:, None] * rp - s[:, None] * rq
+            a[q, :] = s[:, None] * rp + c[:, None] * rq
+            cp = a[:, p]
+            cq = a[:, q]
+            a[:, p] = c * cp - s * cq
+            a[:, q] = s * cp + c * cq
+            a[p, p] = app - t * apq
+            a[q, q] = aqq + t * apq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
     return np.sort(np.diag(a))
 
 

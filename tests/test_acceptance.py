@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is calibrated at runtime.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -281,9 +282,13 @@ def test_criterion_09_flow_convergence():
 
 
 def _run_cli(args, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH would not find the package
+    source_dir = str(Path(pv.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source_dir, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "polyvar.cli", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
     )

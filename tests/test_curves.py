@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import polyvar as pv
 from polyvar import (
     DiscreteCurve,
+    cusp_vertices,
+    edge_lengths,
     edge_normal,
     edge_normals,
     edge_vectors,
@@ -216,3 +221,65 @@ def test_non_integer_turning_is_internal_guard(monkeypatch, sq):
     monkeypatch.setattr(curves_mod, "turning_angles", corrupted)
     with pytest.raises(NonIntegerTurning):
         turning_number(sq)
+
+
+# ------------------------------------------------------------- cached arrays
+
+def test_cached_arrays_are_read_only(sq):
+    lengths = edge_lengths(sq)
+    before = lengths.copy()
+    with pytest.raises(ValueError):
+        lengths[0] = 5.0
+    assert np.array_equal(edge_lengths(sq), before)
+    assert edge_lengths(sq) is lengths  # computed once per curve
+    for values in (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask):
+        assert not values.flags.writeable
+
+
+def test_cusp_warning_once_per_curve():
+    path = make_curve([(0, 0), (1, 0), (0.5, 0), (0.5, 1)], closed=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cusp_vertices(path).tolist() == [1]  # asking for cusps does not warn
+    with pytest.warns(CuspWarning):
+        turning_angles(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert turning_angles(path)[1] == np.pi
+        pv.vertex_curvatures(path, "half_edge_sum")
+
+
+# ------------------------------------------------------- single-value lookups
+
+# name -> (accessor(curve, k), indexes edges rather than interior vertices)
+ACCESSORS = {
+    "line_element": (lambda c, k: pv.line_element(c, "half_edge_sum", k), False),
+    "curvature_vector": (lambda c, k: pv.curvature_vector(c, "half_edge_sum", k), False),
+    "vertex_curvature": (lambda c, k: pv.vertex_curvature(c, "half_edge_sum", k), False),
+    "length_gradient": (pv.length_gradient, False),
+    "volume_gradient": (pv.volume_gradient, False),
+    "turning_angle": (pv.turning_angle, False),
+    "vertex_normal": (pv.vertex_normal, False),
+    "vertex_tangent": (pv.vertex_tangent, False),
+    "weighted_vertex_normal": (pv.weighted_vertex_normal, False),
+    "edge_line_element": (pv.edge_line_element, True),
+    "edge_curvature": (pv.edge_curvature, True),
+    "edge_normal": (pv.edge_normal, True),
+    "frenet_edge_residual": (pv.frenet_edge_residual, True),
+}
+
+
+@pytest.mark.parametrize(
+    "name, closed",
+    [(name, closed) for name in ACCESSORS for closed in (True, False) if closed or name != "volume_gradient"],
+)
+def test_accessor_rejects_index_out_of_range(name, closed):
+    accessor, edge = ACCESSORS[name]
+    curve = make_curve([(0, 0), (2, 0), (3, 1), (2, 3), (0, 2)], closed=closed)
+    if edge:
+        past = curve.edge_count
+    else:
+        past = curve.n if closed else curve.n - 1
+    for k in (-1, past):
+        with pytest.raises(IndexError):
+            accessor(curve, k)

@@ -92,6 +92,8 @@ def test_run_flow_convex_pentagon_reaches_regular(rng):
 
     trajectory = run_flow(curve, FlowConfig(step_size=0.2, grad_tolerance=1e-9))
     assert trajectory.verdict == "converged"
+    # snapshots are fresh curves, so a long run does not keep their cached arrays
+    assert all("edge_lengths" not in vars(snap.curve) for snap in trajectory.snapshots)
     final = trajectory.snapshots[-1].curve
     lens = edge_lengths(final)
     thetas = turning_angles(final)

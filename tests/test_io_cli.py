@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polyvar import make_curve, regular_polygon
+from polyvar import cli, errors, make_curve, regular_polygon
 from polyvar.cli import main
 from polyvar.io import analyze_table, curve_from_json, curve_to_json, fmt17, read_curve, write_curve
 
@@ -144,6 +144,37 @@ def test_cli_wedge_on_cusp_curve_exits_3(tmp_path):
     write_curve(make_curve([(0, 0), (1, 0), (0, 0), (1, 0.0)]), path)
     assert run_cli("offset", "--in", str(path), "--t", "0.1", "--variant", "wedge",
                    "--out", str(tmp_path / "off")) == 3
+
+
+EXIT_CODES = {
+    "TooFewVertices": 2,
+    "ZeroEdge": 2,
+    "InvalidWinding": 2,
+    "OpenCurve": 2,
+    "SchemeInapplicable": 2,
+    "KappaZero": 2,
+    "MeanNotZero": 2,
+    "CuspVertex": 3,
+    "CuspAdjacent": 3,
+    "CuspPresent": 3,
+    "EdgeCollapse": 3,
+    "ZeroVolumeGradient": 3,
+    "NonIntegerTurning": 3,
+    "InternalInconsistency": 3,
+    "NotEquilibrium": 3,
+}
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES.items())
+def test_cli_exit_code_of_each_error_class(name, code, monkeypatch, capsys):
+    error = getattr(errors, name)
+
+    def command(args):
+        raise error(0)
+
+    monkeypatch.setattr(cli, "cmd_stability", command)
+    assert run_cli("stability", "--n", "5", "--stdout") == code
+    assert capsys.readouterr().err.startswith("polyvar: error: ")
 
 
 def test_cli_offset_flags_collapse_rows(tmp_path, capsys):
