@@ -19,25 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_index
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
 
 SCHEMES = ("vertex_osculating", "arclength", "hatakeyama", "half_edge_sum")
 
 # Relative spread of edge lengths tolerated by the arclength scheme.
 ARCLENGTH_UNIFORM_TOL = 1e-9
-
-
-def _adjacent_edge_lengths(curve: DiscreteCurve):
-    """(l_{k-1}, l_k) per vertex; NaN where the edge does not exist (open ends)."""
-    l = curve.edge_lengths
-    if curve.closed:
-        return np.roll(l, 1), l
-    l_prev = np.full(curve.n, np.nan)
-    l_next = np.full(curve.n, np.nan)
-    l_prev[1:] = l
-    l_next[:-1] = l
-    return l_prev, l_next
 
 
 def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
@@ -48,58 +36,46 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
     SchemeInapplicable for curve-wide failures: arclength on a curve with
     non-uniform edge lengths, or an invalid custom array.
     """
-    n = curve.n
     if not isinstance(scheme, str):
         custom = np.array(scheme, dtype=float)
-        if custom.shape != (n,):
-            raise SchemeInapplicable(f"custom line elements must have shape ({n},)")
-        interior = custom if curve.closed else custom[1:-1]
-        if not np.all(interior > 0):
+        if custom.shape != (curve.n,):
+            raise SchemeInapplicable(f"custom line elements must have shape ({curve.n},)")
+        if not np.all(custom[curve.interior_range()] > 0):
             raise SchemeInapplicable("custom line elements must be positive")
-        if curve.closed:
-            return custom
-        out = custom.copy()
-        out[0] = out[-1] = np.nan
-        return out
+        if not curve.closed:
+            custom[0] = custom[-1] = np.nan
+        return custom
 
-    l_prev, l_next = _adjacent_edge_lengths(curve)
+    l_prev, l_next = _at_vertices(curve, curve.edge_lengths)
     if scheme == "hatakeyama":
-        return l_prev.copy()
+        return np.where(np.isnan(l_next), np.nan, l_prev)  # NaN at both open ends
     if scheme == "half_edge_sum":
         return 0.5 * (l_prev + l_next)
 
     half_cos = np.cos(0.5 * curve.turning_angles)
-    cusp = curve.cusp_mask
     if scheme == "vertex_osculating":
-        pts = curve.points
-        if curve.closed:
-            chord = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-        else:
-            chord = np.full((n, 2), np.nan)
-            chord[1:-1] = pts[2:] - pts[:-2]
+        chord = curve.chords
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.hypot(chord[:, 0], chord[:, 1]) / (2.0 * half_cos)
-        out[cusp] = np.nan
-        out[~(out > 0)] = np.nan  # folded vertex (chord = 0)
-        return out
-    if scheme == "arclength":
+    elif scheme == "arclength":
         l = curve.edge_lengths
         l_mean = l.mean()
         if np.max(np.abs(l - l_mean)) / l_mean >= ARCLENGTH_UNIFORM_TOL:
             raise SchemeInapplicable("arclength scheme requires uniform edge lengths")
         out = l_mean * half_cos
-        out[cusp] = np.nan
-        out[~(out > 0)] = np.nan
-        return out
-    raise SchemeInapplicable(f"unknown line element scheme {scheme!r}")
+    else:
+        raise SchemeInapplicable(f"unknown line element scheme {scheme!r}")
+    out[curve.cusp_mask] = np.nan
+    out[~(out > 0)] = np.nan  # open ends and folded vertices (chord = 0)
+    return out
+
+
+def _scheme_undefined(k: int) -> SchemeInapplicable:
+    return SchemeInapplicable(f"scheme undefined at vertex {k}")
 
 
 def line_element(curve: DiscreteCurve, scheme, k: int) -> float:
-    _check_index(curve, k)
-    value = line_elements(curve, scheme)[k]
-    if not np.isfinite(value):
-        raise SchemeInapplicable(f"scheme undefined at vertex {k}")
-    return float(value)
+    return _value_at(curve, line_elements(curve, scheme), k, _scheme_undefined)
 
 
 def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
@@ -107,21 +83,12 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
 
     Equals minus the length gradient over L_k; independent of sigma.
     """
-    t = curve.tangents
-    if curve.closed:
-        dt = t - np.roll(t, 1, axis=0)
-    else:
-        dt = np.full((curve.n, 2), np.nan)
-        dt[1:-1] = t[1:] - t[:-1]
-    return dt / line_elements(curve, scheme)[:, None]
+    t_prev, t = _at_vertices(curve, curve.tangents)
+    return (t - t_prev) / line_elements(curve, scheme)[:, None]
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
-    _check_index(curve, k)
-    v = curvature_vectors(curve, scheme)[k]
-    if not np.all(np.isfinite(v)):
-        raise SchemeInapplicable(f"scheme undefined at vertex {k}")
-    return v
+    return _value_at(curve, curvature_vectors(curve, scheme), k, _scheme_undefined)
 
 
 def vertex_curvatures(curve: DiscreteCurve, scheme) -> np.ndarray:
@@ -132,19 +99,12 @@ def vertex_curvatures(curve: DiscreteCurve, scheme) -> np.ndarray:
 
 
 def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
-    _check_index(curve, k)
-    value = vertex_curvatures(curve, scheme)[k]
-    if not np.isfinite(value):
-        raise SchemeInapplicable(f"scheme undefined at vertex {k}")
-    return float(value)
+    return _value_at(curve, vertex_curvatures(curve, scheme), k, _scheme_undefined)
 
 
 def _edge_endpoint_angles(curve: DiscreteCurve):
     """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
-    theta = np.where(curve.cusp_mask, np.nan, curve.turning_angles)
-    if curve.closed:
-        return theta, np.roll(theta, -1)
-    return theta[:-1], theta[1:]
+    return _at_edges(curve, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
 
 
 def edge_line_elements(curve: DiscreteCurve) -> np.ndarray:
@@ -157,11 +117,7 @@ def edge_line_elements(curve: DiscreteCurve) -> np.ndarray:
 
 
 def edge_line_element(curve: DiscreteCurve, k: int) -> float:
-    _check_index(curve, k, edge=True)
-    value = edge_line_elements(curve)[k]
-    if not np.isfinite(value):
-        raise CuspAdjacent(k)
-    return float(value)
+    return _value_at(curve, edge_line_elements(curve), k, CuspAdjacent)
 
 
 def edge_curvatures(curve: DiscreteCurve) -> np.ndarray:
@@ -172,21 +128,13 @@ def edge_curvatures(curve: DiscreteCurve) -> np.ndarray:
 
 
 def edge_curvature(curve: DiscreteCurve, k: int) -> float:
-    _check_index(curve, k, edge=True)
-    value = edge_curvatures(curve)[k]
-    if not np.isfinite(value):
-        raise CuspAdjacent(k)
-    return float(value)
+    return _value_at(curve, edge_curvatures(curve), k, CuspAdjacent)
 
 
 def discrete_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
     """Edge-based gradient (psi_{k+1} - psi_k) / l_k."""
-    psi = np.asarray(psi, dtype=float)
-    if curve.closed:
-        dpsi = np.roll(psi, -1) - psi
-    else:
-        dpsi = psi[1:] - psi[:-1]
-    return dpsi / curve.edge_lengths
+    psi, psi_next = _at_edges(curve, np.asarray(psi, dtype=float))
+    return (psi_next - psi) / curve.edge_lengths
 
 
 def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
@@ -194,13 +142,8 @@ def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
 
     NaN at the boundary vertices of an open curve.
     """
-    g = discrete_gradient(curve, psi)
-    if curve.closed:
-        dg = g - np.roll(g, 1)
-    else:
-        dg = np.full(curve.n, np.nan)
-        dg[1:-1] = g[1:] - g[:-1]
-    return dg / line_elements(curve, scheme)
+    g_prev, g = _at_vertices(curve, discrete_gradient(curve, psi))
+    return (g - g_prev) / line_elements(curve, scheme)
 
 
 def dirichlet_energy(curve: DiscreteCurve, psi) -> float:

@@ -17,8 +17,14 @@ read-only attribute (m = edge_count):
   edge_normals    (m, 2)  nu_k = R t_k
   turning_angles  (n,)    theta_k in (-pi, pi], NaN at open-curve ends
   cusp_mask       (n,)    True where 1 + cos(theta_k) <= CUSP_TOL
+  chords          (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
 
 The module functions of the same names return these arrays.
+
+Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
+to vertex k+1, and indices wrap around on a closed curve.  A value built from
+both neighbours is NaN where an open curve ends.  _at_vertices and _at_edges
+apply this rule, and _value_at is the one single-index lookup.
 """
 
 from __future__ import annotations
@@ -143,18 +149,18 @@ class DiscreteCurve:
         return _frozen(rot90(self.tangents, self.sigma))
 
     @cached_property
+    def chords(self) -> np.ndarray:
+        # p_{k+1} ends edge k and p_{k-1} starts edge k-1
+        starts, ends = _at_edges(self, self.points)
+        return _frozen(_at_vertices(self, ends)[1] - _at_vertices(self, starts)[0])
+
+    @cached_property
     def _snapped_angles(self):
         """(theta, cusp mask), theta already snapped to pi at cusps."""
-        t = self.tangents
-        if self.closed:
-            prev, cur = np.roll(t, 1, axis=0), t
-        else:
-            prev, cur = t[:-1], t[1:]
+        prev, cur = _at_vertices(self, self.tangents)
         cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
         dot = prev[:, 0] * cur[:, 0] + prev[:, 1] * cur[:, 1]
         theta = self.sigma * np.arctan2(cross, dot)
-        if not self.closed:
-            theta = np.concatenate([[np.nan], theta, [np.nan]])
         with np.errstate(invalid="ignore"):
             cusp = 1.0 + np.cos(theta) <= CUSP_TOL
         theta[cusp] = np.pi
@@ -172,10 +178,38 @@ class DiscreteCurve:
         return theta
 
 
-def _check_index(curve: DiscreteCurve, k: int, edge: bool = False) -> None:
-    """IndexError unless k is an interior vertex (or, with edge=True, an edge)."""
-    if not (0 <= k < curve.edge_count if edge else curve.is_interior(k)):
-        raise IndexError(f"{'edge' if edge else 'vertex'} index {k} out of range")
+def _at_vertices(curve: DiscreteCurve, per_edge: np.ndarray):
+    """(a_{k-1}, a_k) at every vertex k; a NaN row where an open curve ends."""
+    if curve.closed:  # np.roll(per_edge, 1, axis=0), at a fraction of its overhead
+        return np.concatenate([per_edge[-1:], per_edge[:-1]]), per_edge
+    pad = np.full((1,) + per_edge.shape[1:], np.nan)
+    return np.concatenate([pad, per_edge]), np.concatenate([per_edge, pad])
+
+
+def _at_edges(curve: DiscreteCurve, per_vertex: np.ndarray):
+    """(a_k, a_{k+1}) at the two end vertices of every edge k."""
+    if curve.closed:
+        return per_vertex, np.concatenate([per_vertex[1:], per_vertex[:1]])
+    return per_vertex[:-1], per_vertex[1:]
+
+
+def _value_at(curve: DiscreteCurve, values: np.ndarray, k: int, undefined=None):
+    """values[k] of a per-vertex (length n) or per-edge array, as a float or a row.
+
+    IndexError unless k is an interior vertex or an edge, or where the value
+    at a boundary edge of an open curve is not finite; undefined(k) where any
+    other value is not finite (unless undefined is None).
+    """
+    # a closed curve has as many edges as vertices, and no boundary edges
+    per_vertex = len(values) == curve.n
+    if not (curve.is_interior(k) if per_vertex else 0 <= k < curve.edge_count):
+        raise IndexError(f"index {k} out of range")
+    value = values[k]
+    if undefined is not None and not np.all(np.isfinite(value)):
+        if not per_vertex and k in (0, curve.edge_count - 1):
+            raise IndexError(f"edge {k} touches an end of the open curve")
+        raise undefined(k)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_winding(n: int, m: int) -> None:
@@ -224,8 +258,7 @@ def edge_normals(curve: DiscreteCurve) -> np.ndarray:
 
 
 def edge_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k, edge=True)
-    return curve.edge_normals[k]
+    return _value_at(curve, curve.edge_normals, k)
 
 
 def turning_angles(curve: DiscreteCurve) -> np.ndarray:
@@ -239,8 +272,7 @@ def turning_angles(curve: DiscreteCurve) -> np.ndarray:
 
 
 def turning_angle(curve: DiscreteCurve, k: int) -> float:
-    _check_index(curve, k)
-    return float(curve.turning_angles[k])
+    return _value_at(curve, curve.turning_angles, k)
 
 
 def cusp_vertices(curve: DiscreteCurve) -> np.ndarray:

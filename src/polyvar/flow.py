@@ -19,9 +19,10 @@ from .curves import DiscreteCurve, enclosed_volume, total_length
 from .errors import ZeroEdge, ZeroVolumeGradient
 from .variation import EquilibriumReport, classify_equilibrium, length_gradients, volume_gradients
 
-VOLUME_CORRECTIONS = ("project_only", "project_and_rescale")
-
 MAX_HALVINGS = 20
+
+# Tolerance handed to classify_equilibrium once the flow has converged.
+CLASSIFY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,17 +30,13 @@ class FlowConfig:
     step_size: float = 0.1
     max_steps: int = 20000
     grad_tolerance: float = 1e-8
-    volume_correction: str = "project_and_rescale"
     record_every: int = 10
-    classify_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.grad_tolerance <= 0:
             raise ValueError("grad_tolerance must be positive")
-        if self.volume_correction not in VOLUME_CORRECTIONS:
-            raise ValueError(f"volume_correction must be one of {VOLUME_CORRECTIONS}")
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,14 @@ def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | N
     if gradnorm < config.grad_tolerance:
         return curve, diagnostics
 
+    if target_volume is None:
+        target_volume = diagnostics["volume"]
     g_norm_sq = float(np.sum(g * g))
     roundoff = 1e-14 * max(1.0, diagnostics["length"])
     h = config.step_size
     for _ in range(MAX_HALVINGS + 1):
         try:
-            candidate = curve.with_points(curve.points - h * g)
-            if config.volume_correction == "project_and_rescale":
-                if target_volume is None:
-                    target_volume = diagnostics["volume"]
-                candidate = _rescaled_to_volume(candidate, target_volume)
+            candidate = _rescaled_to_volume(curve.with_points(curve.points - h * g), target_volume)
             # expected first-order decrease is h * |g|^2; demand a tenth of it,
             # up to the round-off resolution of the length itself
             if total_length(candidate) <= diagnostics["length"] - 0.1 * h * g_norm_sq + roundoff:
@@ -166,7 +161,7 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
             record(step, current, diag)
         if converged:
             kappa = lagrange_kappa(current)
-            report = classify_equilibrium(current, kappa, tol=config.classify_tolerance)
+            report = classify_equilibrium(current, kappa, tol=CLASSIFY_TOLERANCE)
             return FlowTrajectory(
                 snapshots=snapshots,
                 verdict="converged",

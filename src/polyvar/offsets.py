@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import edge_curvatures
-from .curves import DiscreteCurve, _check_index, cusp_vertices, rot90
-from .errors import CuspVertex, EdgeCollapse, OpenCurve
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, cusp_vertices, rot90
+from .errors import CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
 
@@ -34,25 +34,15 @@ def vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     |N_k| = 1/cos(theta_k/2), so N_k is defined (and unit) at straight
     vertices but blows up toward a cusp.
     """
-    nu = curve.edge_normals
-    theta = curve.turning_angles
-    if curve.closed:
-        nu_sum = nu + np.roll(nu, 1, axis=0)
-    else:
-        nu_sum = np.full((curve.n, 2), np.nan)
-        nu_sum[1:-1] = nu[1:] + nu[:-1]
+    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = nu_sum / (1.0 + np.cos(theta))[:, None]
+        out = (nu + nu_prev) / (1.0 + np.cos(curve.turning_angles))[:, None]
     out[~np.isfinite(out)] = np.nan
     return out
 
 
 def vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k)
-    value = vertex_normals(curve)[k]
-    if not np.all(np.isfinite(value)):
-        raise CuspVertex(k)
-    return value
+    return _value_at(curve, vertex_normals(curve), k, CuspVertex)
 
 
 def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
@@ -61,11 +51,7 @@ def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
 
 
 def vertex_tangent(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k)
-    value = vertex_tangents(curve)[k]
-    if not np.all(np.isfinite(value)):
-        raise CuspVertex(k)
-    return value
+    return _value_at(curve, vertex_tangents(curve), k, CuspVertex)
 
 
 def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
@@ -74,19 +60,13 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     The volume-descent counterpart of N_k; the two agree in direction exactly
     when the adjacent edges have equal length.
     """
-    nu = curve.edge_normals
-    l = curve.edge_lengths
-    if curve.closed:
-        nu_prev, l_prev = np.roll(nu, 1, axis=0), np.roll(l, 1)
-        return (l[:, None] * nu + l_prev[:, None] * nu_prev) / (l + l_prev)[:, None]
-    out = np.full((curve.n, 2), np.nan)
-    out[1:-1] = (l[1:, None] * nu[1:] + l[:-1, None] * nu[:-1]) / (l[1:] + l[:-1])[:, None]
-    return out
+    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
+    l_prev, l = _at_vertices(curve, curve.edge_lengths)
+    return (l[:, None] * nu + l_prev[:, None] * nu_prev) / (l + l_prev)[:, None]
 
 
 def weighted_vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k)
-    return weighted_vertex_normals(curve)[k]
+    return _value_at(curve, weighted_vertex_normals(curve), k)
 
 
 def _require_no_cusp(curve: DiscreteCurve):
@@ -95,12 +75,17 @@ def _require_no_cusp(curve: DiscreteCurve):
         raise CuspVertex(int(cusps[0]))
 
 
+def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.ndarray:
+    """1 - t * kappa(e_k) per edge, once the curve is known closed and cusp-free."""
+    if not curve.closed:
+        raise OpenCurve(open_message)
+    _require_no_cusp(curve)
+    return 1.0 - t * edge_curvatures(curve)
+
+
 def parallel_curve(curve: DiscreteCurve, t: float) -> DiscreteCurve:
     """Offset curve p_k + t N_k; every edge stays parallel to its source edge."""
-    if not curve.closed:
-        raise OpenCurve("parallel offsets require a closed curve")
-    _require_no_cusp(curve)
-    factors = 1.0 - t * edge_curvatures(curve)
+    factors = _offset_factors(curve, t, "parallel offsets require a closed curve")
     collapsing = np.flatnonzero(np.abs(factors) <= EDGE_COLLAPSE_TOL)
     if collapsing.size:
         raise EdgeCollapse(int(collapsing[0]))
@@ -122,15 +107,12 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
     Requires 1 - t * kappa(e_k) > 0 on every edge (no sign flip under the
     absolute value).
     """
-    if not curve.closed:
-        raise OpenCurve("Steiner report requires a closed curve")
-    _require_no_cusp(curve)
-    factors = 1.0 - t * edge_curvatures(curve)
+    factors = _offset_factors(curve, t, "Steiner report requires a closed curve")
     bad = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
     if bad.size:
         raise EdgeCollapse(int(bad[0]))
     predicted = curve.edge_lengths * factors
-    actual = parallel_curve(curve, t).edge_lengths
+    actual = curve.with_points(curve.points + t * vertex_normals(curve)).edge_lengths
     return SteinerReport(
         t=float(t),
         predicted_lengths=predicted,
@@ -148,6 +130,8 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     """
     if not curve.closed:
         raise OpenCurve("offset lengths require a closed curve")
+    if variant == "wedge":
+        _require_no_cusp(curve)  # before the turning angles warn about the cusp
     theta = curve.turning_angles
     length = float(curve.edge_lengths.sum())
     if variant == "segment":
@@ -155,7 +139,6 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     if variant == "arc":
         return length - t * float(theta.sum())
     if variant == "wedge":
-        _require_no_cusp(curve)
         return length - t * float(np.sum(2.0 * np.tan(0.5 * theta)))
     raise ValueError(f"unknown offset variant {variant!r}")
 
@@ -173,8 +156,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
         if not curve.closed:
             raise OpenCurve("segment offsets require a closed curve")
         nu = curve.edge_normals
-        pts = curve.points
-        nxt = np.roll(pts, -1, axis=0)
+        pts, nxt = _at_edges(curve, curve.points)
         doubled = np.empty((2 * curve.n, 2))
         doubled[0::2] = pts + t * nu
         doubled[1::2] = nxt + t * nu
@@ -190,19 +172,10 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
 
 def frenet_edge_residuals(curve: DiscreteCurve) -> np.ndarray:
     """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero."""
-    N = vertex_normals(curve)
-    l = curve.edge_lengths
-    if curve.closed:
-        dN = np.roll(N, -1, axis=0) - N
-    else:
-        dN = N[1:] - N[:-1]  # NaN endpoints poison the two boundary edges
+    N, N_next = _at_edges(curve, vertex_normals(curve))
     kap = edge_curvatures(curve)
-    return dN / l[:, None] + kap[:, None] * curve.tangents
+    return (N_next - N) / curve.edge_lengths[:, None] + kap[:, None] * curve.tangents
 
 
 def frenet_edge_residual(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k, edge=True)
-    value = frenet_edge_residuals(curve)[k]
-    if not np.all(np.isfinite(value)):
-        raise CuspVertex(k)
-    return value
+    return _value_at(curve, frenet_edge_residuals(curve), k, CuspAdjacent)

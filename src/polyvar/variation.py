@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_index, rot90, turning_number
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, rot90, turning_number
 from .errors import InternalInconsistency, KappaZero, OpenCurve
 
 
@@ -23,31 +23,23 @@ def length_gradients(curve: DiscreteCurve) -> np.ndarray:
 
     NaN at the boundary vertices of an open curve (they are held fixed).
     """
-    t = curve.tangents
-    if curve.closed:
-        return np.roll(t, 1, axis=0) - t
-    out = np.full((curve.n, 2), np.nan)
-    out[1:-1] = t[:-1] - t[1:]
-    return out
+    t_prev, t = _at_vertices(curve, curve.tangents)
+    return t_prev - t
 
 
 def length_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
-    _check_index(curve, k)
-    return length_gradients(curve)[k]
+    return _value_at(curve, length_gradients(curve), k)
 
 
 def volume_gradients(curve: DiscreteCurve) -> np.ndarray:
     """Gradient of the signed enclosed area per vertex: (1/2) R(p_{k+1} - p_{k-1})."""
     if not curve.closed:
         raise OpenCurve("volume gradient requires a closed curve")
-    pts = curve.points
-    return 0.5 * rot90(np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0), curve.sigma)
+    return 0.5 * rot90(curve.chords, curve.sigma)
 
 
 def volume_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
-    gradients = volume_gradients(curve)  # OpenCurve before IndexError
-    _check_index(curve, k)
-    return gradients[k]
+    return _value_at(curve, volume_gradients(curve), k)  # OpenCurve before IndexError
 
 
 def _check_field(curve: DiscreteCurve, field) -> np.ndarray:
@@ -83,19 +75,16 @@ def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Euler-Lagrange residual A_k per vertex; zero iff critical for L + kappa*Vol."""
     if not curve.closed:
         raise OpenCurve("equilibrium residual requires a closed curve")
-    nu = curve.edge_normals
-    pts = curve.points
-    return (nu - np.roll(nu, 1, axis=0)) + 0.5 * kappa * (
-        np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    )
+    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
+    return (nu - nu_prev) + 0.5 * kappa * curve.chords
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria."""
     if not curve.closed:
         raise OpenCurve("conservation vectors require a closed curve")
-    pts = curve.points
-    return curve.edge_normals + 0.5 * kappa * (np.roll(pts, -1, axis=0) + pts)
+    p, p_next = _at_edges(curve, curve.points)
+    return curve.edge_normals + 0.5 * kappa * (p_next + p)
 
 
 @dataclass(frozen=True)

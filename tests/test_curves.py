@@ -232,8 +232,18 @@ def test_cached_arrays_are_read_only(sq):
         lengths[0] = 5.0
     assert np.array_equal(edge_lengths(sq), before)
     assert edge_lengths(sq) is lengths  # computed once per curve
-    for values in (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask):
+    cached = (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask, sq.chords)
+    for values in cached:
         assert not values.flags.writeable
+
+
+def test_chords_skip_one_vertex(rng):
+    pts = rng.standard_normal((7, 2))
+    closed = make_curve(pts)
+    assert np.array_equal(closed.chords, np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0))
+    path = make_curve(pts, closed=False)
+    assert np.array_equal(path.chords[1:-1], pts[2:] - pts[:-2])
+    assert np.all(np.isnan(path.chords[[0, -1]]))
 
 
 def test_cusp_warning_once_per_curve():
@@ -267,6 +277,8 @@ ACCESSORS = {
     "edge_normal": (pv.edge_normal, True),
     "frenet_edge_residual": (pv.frenet_edge_residual, True),
 }
+# on an open curve these need a value at the end vertex of a boundary edge
+ENDS_UNDEFINED = {"edge_line_element", "edge_curvature", "frenet_edge_residual"}
 
 
 @pytest.mark.parametrize(
@@ -280,6 +292,79 @@ def test_accessor_rejects_index_out_of_range(name, closed):
         past = curve.edge_count
     else:
         past = curve.n if closed else curve.n - 1
-    for k in (-1, past):
+    outside = [-1, past]
+    if not closed and name in ENDS_UNDEFINED:
+        outside += [0, curve.edge_count - 1]
+    for k in outside:
         with pytest.raises(IndexError):
             accessor(curve, k)
+
+
+# ----------------------------------------------------- the neighbour convention
+
+def _open_unit_path():
+    """Cusp-free open path with unit edges, so that every scheme applies."""
+    directions = np.cumsum([0.0, 0.5, 0.7, -0.3, 0.8, 0.6])
+    steps = np.column_stack([np.cos(directions), np.sin(directions)])
+    return make_curve(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]), closed=False)
+
+
+def _per_vertex_quantities():
+    psi = np.linspace(-1.0, 2.0, 7) ** 2
+    quantities = {
+        "turning_angles": pv.turning_angles,
+        "chords": lambda c: c.chords,
+        "length_gradients": pv.length_gradients,
+        "vertex_normals": pv.vertex_normals,
+        "vertex_tangents": pv.vertex_tangents,
+        "weighted_vertex_normals": pv.weighted_vertex_normals,
+    }
+    for scheme in (*pv.SCHEMES, np.linspace(0.5, 1.5, 7)):
+        label = scheme if isinstance(scheme, str) else "custom"
+        quantities[f"line_elements[{label}]"] = lambda c, s=scheme: pv.line_elements(c, s)
+        quantities[f"curvature_vectors[{label}]"] = lambda c, s=scheme: pv.curvature_vectors(c, s)
+        quantities[f"vertex_curvatures[{label}]"] = lambda c, s=scheme: pv.vertex_curvatures(c, s)
+        quantities[f"discrete_laplacian[{label}]"] = lambda c, s=scheme: pv.discrete_laplacian(c, s, psi)
+    return quantities
+
+
+PER_VERTEX = _per_vertex_quantities()
+
+# per-edge quantities: on an open curve, those built from a value at both end
+# vertices are undefined on the two boundary edges
+PER_EDGE = {
+    "edge_vectors": (pv.edge_vectors, False),
+    "edge_lengths": (pv.edge_lengths, False),
+    "tangents": (lambda c: c.tangents, False),
+    "edge_normals": (pv.edge_normals, False),
+    "discrete_gradient": (lambda c: pv.discrete_gradient(c, np.arange(7.0) ** 2), False),
+    "edge_line_elements": (pv.edge_line_elements, True),
+    "edge_curvatures": (pv.edge_curvatures, True),
+    "frenet_edge_residuals": (pv.frenet_edge_residuals, True),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_VERTEX))
+def test_open_curve_per_vertex_nan_exactly_at_the_ends(name):
+    path = _open_unit_path()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = PER_VERTEX[name](path)
+    assert len(values) == path.n
+    assert np.all(np.isnan(values[[0, -1]]))
+    assert np.all(np.isfinite(values[1:-1]))
+
+
+@pytest.mark.parametrize("name", list(PER_EDGE))
+def test_open_curve_per_edge_values(name):
+    path = _open_unit_path()
+    quantity, ends_undefined = PER_EDGE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = quantity(path)
+    assert len(values) == path.edge_count
+    if ends_undefined:
+        assert np.all(np.isnan(values[[0, -1]]))
+        assert np.all(np.isfinite(values[1:-1]))
+    else:
+        assert np.all(np.isfinite(values))

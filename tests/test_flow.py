@@ -68,8 +68,6 @@ def test_flow_step_rectangle_descends():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        FlowConfig(volume_correction="exact")
 
 
 def test_run_flow_square_converges_immediately(sq):
@@ -114,20 +112,6 @@ def test_run_flow_descent_and_volume_invariants(rng):
     for snap in trajectory.snapshots:
         assert abs(snap.volume - v0) <= 1e-8 * abs(v0)
     assert trajectory.verdict == "converged"
-
-
-def test_run_flow_project_only_mode(rng):
-    # without rescaling, the projection alone keeps the area to first order
-    hexa = regular_polygon(6, 1, 1.0)
-    curve = make_curve(hexa.points + rng.normal(size=(6, 2)) * 0.01)
-    v0 = enclosed_volume(curve)
-    trajectory = run_flow(
-        curve,
-        FlowConfig(step_size=0.05, volume_correction="project_only", grad_tolerance=1e-6),
-    )
-    assert trajectory.verdict == "converged"
-    drift = abs(trajectory.snapshots[-1].volume - v0) / abs(v0)
-    assert drift < 1e-3  # O(h^2) per-step leakage only
 
 
 def test_run_flow_clockwise_orientation(rng):

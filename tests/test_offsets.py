@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import polyvar.offsets
 from polyvar import (
     classify_equilibrium,
     edge_curvatures,
@@ -22,7 +25,7 @@ from polyvar import (
     weighted_vertex_normal,
     weighted_vertex_normals,
 )
-from polyvar.errors import CuspVertex, EdgeCollapse, OpenCurve
+from polyvar.errors import CuspAdjacent, CuspVertex, CuspWarning, EdgeCollapse, OpenCurve
 from polyvar.stability import regular_polygon_kappa
 
 from helpers import random_equilateral_polygon, random_star_polygon
@@ -139,6 +142,24 @@ def test_steiner_rejects_collapse_range(sq):
         steiner_report(sq, -1.0)  # factor 1 - t*kappa goes negative on the square
 
 
+def test_steiner_report_checks_once_in_order(monkeypatch, sq):
+    calls = []
+
+    def counted(curve):
+        calls.append(curve)
+        return edge_curvatures(curve)
+
+    monkeypatch.setattr(polyvar.offsets, "edge_curvatures", counted)
+    steiner_report(sq, 0.1)
+    assert len(calls) == 1
+    # an open cusp curve is rejected as open; a closed one as a cusp, before
+    # the offset distance is looked at
+    with pytest.raises(OpenCurve):
+        steiner_report(make_curve([(0, 0), (1, 0), (0.5, 0)], closed=False), 100.0)
+    with pytest.raises(CuspVertex):
+        steiner_report(make_curve([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)]), 100.0)
+
+
 def test_steiner_exactness_random(rng):
     for _ in range(20):
         curve = random_star_polygon(rng, int(rng.integers(4, 12)))
@@ -166,6 +187,14 @@ def test_offset_length_wedge_equals_steiner_sum(rng):
         assert offset_length(curve, t, "wedge") == pytest.approx(
             float(report.predicted_lengths.sum()), abs=1e-12 * total_length(curve)
         )
+
+
+def test_offset_length_wedge_rejects_cusp_without_warning():
+    cusp = make_curve([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CuspWarning)
+        with pytest.raises(CuspVertex):
+            offset_length(cusp, 0.1, "wedge")
 
 
 def test_offset_length_unknown_variant(sq):
@@ -226,3 +255,13 @@ def test_frenet_residual_collinear_polyline():
     res = frenet_edge_residuals(path)
     assert np.allclose(res[1], 0.0, atol=1e-15)  # the one interior edge
     assert np.all(np.isnan(res[[0, 2]]))
+
+
+def test_frenet_residual_blames_the_cusp_edges():
+    curve = make_curve([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)])  # cusp at vertex 2
+    with pytest.warns(CuspWarning):
+        for k in (1, 2):
+            with pytest.raises(CuspAdjacent) as info:
+                frenet_edge_residual(curve, k)
+            assert info.value.k == k
+    assert np.allclose(frenet_edge_residual(curve, 3), 0.0, atol=1e-14)
