@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical degeneracy;
 a library error exits with its class's exit_code (see polyvar.errors).
-Data goes to the files named by --out (and to stdout only under --stdout);
-stderr carries human-readable diagnostics.
+Each cmd_* returns its outputs as {suffix: text} and writes nothing itself:
+main alone writes each text to --out + suffix and, under --stdout, the first
+one to stdout.  stderr carries human-readable diagnostics.  No CuspWarning
+reaches it: the CLI reports cusps through its outputs (cusp_vertices in the
+analyze report) and its errors (exit 3 with CuspVertex).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from . import io as pio
 from . import svg
 from .curvature import SCHEMES
 from .curves import regular_polygon, total_length
-from .errors import CurveError, EdgeCollapse
+from .errors import CurveError, CuspWarning, EdgeCollapse
 from .flow import FlowConfig, lagrange_kappa, run_flow
 from .offsets import offset_length, offset_polygon
 from .stability import certificate_coefficient, jacobi_spectrum
@@ -42,18 +46,13 @@ def _parse_int_range(text: str) -> range:
     return range(value, value + 1)
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> dict[str, str]:
     curve = regular_polygon(args.n, args.m, a=args.a, phase=args.phase, sigma=args.sigma)
-    text = pio.curve_to_json(curve)
-    if args.out:
-        _write(args.out, text)
-    if args.stdout:
-        sys.stdout.write(text)
     print(f"generated regular polygon n={args.n} m={args.m} a={args.a}", file=sys.stderr)
-    return 0
+    return {"": pio.curve_to_json(curve)}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict[str, str]:
     curve = pio.read_curve(args.input)
     schemes = SCHEMES if args.scheme == "all" else tuple(args.scheme.split(","))
     for scheme in schemes:
@@ -74,17 +73,11 @@ def cmd_analyze(args) -> int:
             f"(kappa={kappa:.12g} [{source}], max residual {report.max_residual:.6e})",
             file=sys.stderr,
         )
-    report_text = pio.analyze_report(curve, args.input.rsplit("/", 1)[-1], equilibrium)
-
-    if args.out:
-        _write(args.out + ".csv", table)
-        _write(args.out + ".json", report_text)
-    if args.stdout:
-        sys.stdout.write(table)
-    return 0
+    name = args.input.rsplit("/", 1)[-1]
+    return {".csv": table, ".json": pio.analyze_report(curve, name, equilibrium)}
 
 
-def cmd_offset(args) -> int:
+def cmd_offset(args) -> dict[str, str]:
     curve = pio.read_curve(args.input)
     t_values = [float(v) for v in args.t.split(",")]
     rows = []
@@ -106,17 +99,10 @@ def cmd_offset(args) -> int:
         layers.append(
             svg.SvgLayer(polygon.points, closed=True, color=svg.PALETTE[1 + i % (len(svg.PALETTE) - 1)])
         )
-    table = pio.offset_table(rows)
-    drawing = svg.render(layers, comment=note)
-    if args.out:
-        _write(args.out + ".csv", table)
-        _write(args.out + ".svg", drawing)
-    if args.stdout:
-        sys.stdout.write(table)
-    return 0
+    return {".csv": pio.offset_table(rows), ".svg": svg.render(layers, comment=note)}
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> dict[str, str]:
     entries = []
     for n in _parse_int_range(args.n):
         m_values = range(1, n) if args.m == "all" else [int(args.m)]
@@ -135,15 +121,10 @@ def cmd_stability(args) -> int:
                     certificate_coefficient(n, m, a=args.a),
                 )
             )
-    table = pio.stability_table(entries)
-    if args.out:
-        _write(args.out, table)
-    if args.stdout:
-        sys.stdout.write(table)
-    return 0
+    return {"": pio.stability_table(entries)}
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> dict[str, str]:
     curve = pio.read_curve(args.input)
     config = FlowConfig(
         step_size=args.step,
@@ -151,7 +132,6 @@ def cmd_flow(args) -> int:
         grad_tolerance=args.tol,
     )
     trajectory = run_flow(curve, config)
-    table = pio.flow_table(trajectory)
     layers = []
     count = len(trajectory.snapshots)
     for i, snap in enumerate(trajectory.snapshots):
@@ -165,12 +145,6 @@ def cmd_flow(args) -> int:
                 markers=last,
             )
         )
-    drawing = svg.render(layers)
-    if args.out:
-        _write(args.out + ".csv", table)
-        _write(args.out + ".svg", drawing)
-    if args.stdout:
-        sys.stdout.write(table)
 
     if trajectory.verdict == "converged":
         report = trajectory.report
@@ -185,7 +159,7 @@ def cmd_flow(args) -> int:
         print(f"degenerated: {trajectory.reason}", file=sys.stderr)
     else:
         print(f"not converged after {trajectory.steps_taken} steps", file=sys.stderr)
-    return 0
+    return {".csv": pio.flow_table(trajectory), ".svg": svg.render(layers)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,11 +220,19 @@ def main(argv=None) -> int:
     if not args.out and not args.stdout:
         return _fail("nothing to do: pass --out and/or --stdout", 2)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CuspWarning)
+            outputs = args.func(args)
+        if args.out:
+            for suffix, text in outputs.items():
+                _write(args.out + suffix, text)
+        if args.stdout:
+            sys.stdout.write(next(iter(outputs.values())))
     except CurveError as exc:
         return _fail(str(exc), exc.exit_code)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
+    return 0
 
 
 if __name__ == "__main__":

@@ -139,8 +139,6 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
     snapshots: list[FlowSnapshot] = []
 
     def record(step: int, c: DiscreteCurve, diag: dict):
-        if snapshots and snapshots[-1].step == step:
-            return
         snapshots.append(
             FlowSnapshot(
                 step=step,

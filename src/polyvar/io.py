@@ -12,7 +12,6 @@ double precision exactly and keeps repeated runs byte-identical.
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .curves import (
     turning_angles,
     turning_number,
 )
-from .errors import CuspPresent, CuspWarning, SchemeInapplicable
+from .errors import CuspPresent, SchemeInapplicable
 from .flow import FlowTrajectory
 from .variation import EquilibriumReport
 
@@ -99,17 +98,15 @@ def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
     cusp vertices, arclength scheme on a non-uniform curve).
     """
     n = curve.n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CuspWarning)
-        l = edge_lengths(curve)
-        theta = turning_angles(curve)
-        kappa_cols = {}
-        for scheme in schemes:
-            try:
-                kappa_cols[scheme] = vertex_curvatures(curve, scheme)
-            except SchemeInapplicable:
-                kappa_cols[scheme] = np.full(n, np.nan)
-        kappa_edge = edge_curvatures(curve)
+    l = edge_lengths(curve)
+    theta = turning_angles(curve)
+    kappa_cols = {}
+    for scheme in schemes:
+        try:
+            kappa_cols[scheme] = vertex_curvatures(curve, scheme)
+        except SchemeInapplicable:
+            kappa_cols[scheme] = np.full(n, np.nan)
+    kappa_edge = edge_curvatures(curve)
 
     rows = [["k", "l_k", "theta_k"] + [f"kappa_{s}" for s in schemes] + ["kappa_edge"]]
     for k in range(n):
@@ -122,16 +119,6 @@ def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
     return _csv(rows)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def equilibrium_to_dict(report: EquilibriumReport, source: str) -> dict:
     return {
         "kappa": float(report.kappa),
@@ -140,7 +127,7 @@ def equilibrium_to_dict(report: EquilibriumReport, source: str) -> dict:
         "max_residual": float(report.max_residual),
         "l0": float(report.l0),
         "theta0": float(report.theta0),
-        "winding": _jsonable(report.winding),
+        "winding": report.winding,
         "sigma": int(report.sigma),
         "tolerance": float(report.tolerance_used),
     }

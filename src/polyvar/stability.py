@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _check_winding, rot90
+from .curves import DiscreteCurve, _at_edges, _check_winding, rot90
 from .errors import CuspVertex, MeanNotZero, NotEquilibrium, OpenCurve
-from .offsets import vertex_normals, vertex_tangents
-from .variation import classify_equilibrium
+from .offsets import vertex_normals
+from .variation import _check_field, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
 MEAN_TOL = 1e-10
@@ -30,9 +30,8 @@ def qv_form(curve: DiscreteCurve, field) -> float:
     """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol."""
     if not curve.closed:
         raise OpenCurve("the volume form requires a closed curve")
-    v = np.asarray(field, dtype=float)
-    rv_next = rot90(np.roll(v, -1, axis=0), curve.sigma)
-    return float(np.sum(v * rv_next))
+    v, v_next = _at_edges(curve, _check_field(curve, field))
+    return float(np.sum(v * rot90(v_next, curve.sigma)))
 
 
 def ql_form(curve: DiscreteCurve, field) -> float:
@@ -42,9 +41,9 @@ def ql_form(curve: DiscreteCurve, field) -> float:
     """
     if not curve.closed:
         raise OpenCurve("the length form requires a closed curve")
-    v = np.asarray(field, dtype=float)
+    v, v_next = _at_edges(curve, _check_field(curve, field))
     l = curve.edge_lengths
-    grad = (np.roll(v, -1, axis=0) - v) / l[:, None]
+    grad = (v_next - v) / l[:, None]
     proj = np.sum(grad * curve.tangents, axis=1)
     return float(np.sum((np.sum(grad * grad, axis=1) - proj * proj) * l))
 
@@ -68,14 +67,18 @@ class NormalTangentField(NamedTuple):
     eta: np.ndarray
 
 
+def _vertex_frame(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
+    """(N_k, T_k) with T_k = -R N_k; NaN rows at open ends, CuspVertex at a cusp."""
+    N = vertex_normals(curve)  # first, so that a cusp curve warns as other readers do
+    if curve.cusp_mask.any():
+        raise CuspVertex(int(np.flatnonzero(curve.cusp_mask)[0]))
+    return N, -rot90(N, curve.sigma)
+
+
 def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:
     """Coordinates (psi, eta) of v_k in the vertex frame (N_k, T_k)."""
     v = np.asarray(field, dtype=float)
-    N = vertex_normals(curve)
-    T = vertex_tangents(curve)
-    bad = ~np.all(np.isfinite(N), axis=1)
-    if curve.closed and np.any(bad):
-        raise CuspVertex(int(np.flatnonzero(bad)[0]))
+    N, T = _vertex_frame(curve)
     norm_sq = np.sum(N * N, axis=1)
     psi = np.sum(v * N, axis=1) / norm_sq
     eta = np.sum(v * T, axis=1) / norm_sq
@@ -84,13 +87,10 @@ def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:
 
 def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
     """v_k = psi_k N_k + eta_k T_k."""
-    psi = np.asarray(psi, dtype=float)
-    N = vertex_normals(curve)
-    v = psi[:, None] * N
+    N, T = _vertex_frame(curve)
+    v = np.asarray(psi, dtype=float)[:, None] * N
     if eta is not None:
-        v = v + np.asarray(eta, dtype=float)[:, None] * vertex_tangents(curve)
-    if not np.all(np.isfinite(v)):
-        raise CuspVertex(int(np.flatnonzero(~np.all(np.isfinite(v), axis=1))[0]))
+        v = v + np.asarray(eta, dtype=float)[:, None] * T
     return v
 
 

@@ -146,6 +146,28 @@ def test_cli_wedge_on_cusp_curve_exits_3(tmp_path):
                    "--out", str(tmp_path / "off")) == 3
 
 
+# the CLI reports a cusp through its outputs or its exit code, never as a warning
+@pytest.mark.parametrize("command, code", [
+    (("offset", "--t", "0.1", "--variant", "wedge"), 3),
+    (("offset", "--t", "0.1", "--variant", "segment"), 0),
+    (("offset", "--t", "0.1", "--variant", "arc"), 0),
+    (("analyze",), 0),
+], ids=["wedge", "segment", "arc", "analyze"])
+def test_cli_cusp_curve_prints_no_warning(command, code, tmp_path, capsys):
+    path = tmp_path / "cusp.json"
+    write_curve(make_curve([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)]), path)
+    prefix = str(tmp_path / "out")
+    assert run_cli(command[0], "--in", str(path), *command[1:], "--out", prefix) == code
+    err = capsys.readouterr().err
+    if command[0] == "analyze":
+        assert "Warning" not in err
+        assert json.loads((tmp_path / "out.json").read_text())["cusp_vertices"] == [2]
+    elif code:
+        assert err.startswith("polyvar: error: vertex 2 is a cusp") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 EXIT_CODES = {
     "TooFewVertices": 2,
     "ZeroEdge": 2,

@@ -76,6 +76,13 @@ def test_ql_form_nonnegative(rng):
         assert ql_form(curve, rng.normal(size=(curve.n, 2))) >= -1e-12
 
 
+def test_forms_validate_the_field(sq):
+    for form in (qv_form, ql_form):
+        for field in (np.ones((5, 2)), np.ones(4)):
+            with pytest.raises(ValueError, match="shape"):
+                form(sq, field)
+
+
 def test_forms_require_closed():
     path = make_curve([(0, 0), (1, 0), (1, 1)], closed=False)
     with pytest.raises(OpenCurve):
@@ -177,13 +184,25 @@ def test_zero_mean_normal_fields_are_admissible(rng):
             assert abs(first_variation(poly, v, "volume")) < 1e-12
 
 
+def test_vertex_frame_on_open_curve():
+    # the open ends have no vertex normal: NaN rows there, not a cusp
+    path = make_curve([(0, 0), (1, 0), (2, 1), (3, 1)], closed=False)
+    v = reconstruct_field(path, [0.0, 1.0, 1.0, 0.0])
+    assert np.isnan(v[[0, -1]]).all() and np.isfinite(v[1:-1]).all()
+    psi, eta = decompose_field(path, v)
+    assert np.isnan(psi[[0, -1]]).all() and np.isnan(eta[[0, -1]]).all()
+    assert np.allclose(psi[1:-1], 1.0, atol=1e-14) and np.allclose(eta[1:-1], 0.0, atol=1e-14)
+
+
 def test_decompose_rejects_cusp():
     from polyvar.errors import CuspVertex
 
     flat = make_curve([(0, 0), (1, 0), (0, 0), (1, 0.0)])
-    with pytest.warns(Warning):
-        with pytest.raises(CuspVertex):
-            decompose_field(flat, np.ones((4, 2)))
+    hook = make_curve([(0, 0), (2, 0), (1, 0), (1, 1)], closed=False)
+    for curve in (flat, hook):
+        with pytest.warns(Warning):
+            with pytest.raises(CuspVertex):
+                decompose_field(curve, np.ones((4, 2)))
 
 
 # ------------------------------------------------- regular-polygon closed form
