@@ -61,13 +61,6 @@ def rot90(vectors, sigma):
     return out
 
 
-def _edge_vectors(pts: np.ndarray, closed: bool) -> np.ndarray:
-    diffs = pts[1:] - pts[:-1]
-    if closed:
-        diffs = np.vstack([diffs, pts[:1] - pts[-1:]])
-    return diffs
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -101,10 +94,13 @@ class DiscreteCurve:
             raise TooFewVertices(f"{n} vertices (closed={self.closed})")
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        e = _edge_vectors(pts, self.closed)
-        zero = np.flatnonzero(np.hypot(e[:, 0], e[:, 1]) == 0.0)
-        if zero.size:
-            raise ZeroEdge(int(zero[0]))
+        # for finite doubles p_{k+1} - p_k == 0 exactly when p_{k+1} == p_k
+        same = pts[1:] == pts[:-1]
+        zero = np.flatnonzero(same[:, 0] & same[:, 1]).tolist()
+        if self.closed and np.all(pts[0] == pts[-1]):
+            zero.append(n - 1)
+        if zero:
+            raise ZeroEdge(zero[0])
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "sigma", int(self.sigma))
 
@@ -133,7 +129,8 @@ class DiscreteCurve:
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return _frozen(_edge_vectors(self.points, self.closed))
+        starts, ends = _at_edges(self, self.points)
+        return _frozen(ends - starts)
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -212,11 +209,13 @@ def _value_at(curve: DiscreteCurve, values: np.ndarray, k: int, undefined=None):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _check_winding(n: int, m: int) -> None:
+def _check_regular(n: int, m: int, a: float = 1.0) -> None:
     if 2 * m == n:
         raise InvalidWinding(f"m/n = 1/2 rejected (m = {m}, n = {n})")
     if not 1 <= m <= n - 1:
         raise InvalidWinding(f"m = {m} outside 1..{n - 1}")
+    if not 0 < a < np.inf:
+        raise ValueError(f"radius a = {a} must be finite and positive")
 
 
 def make_curve(points, closed: bool = True, sigma: int = -1) -> DiscreteCurve:
@@ -235,9 +234,7 @@ def regular_polygon(n, m=1, a=1.0, center=(0.0, 0.0), phase=0.0, sigma=-1) -> Di
     m = int(m)
     if n < 3:
         raise TooFewVertices(f"{n} vertices")
-    _check_winding(n, m)
-    if not a > 0:
-        raise ValueError("radius a must be positive")
+    _check_regular(n, m, a)
     angles = 2.0 * np.pi * m * np.arange(n) / n + phase
     pts = np.asarray(center, dtype=float) + a * np.column_stack([np.cos(angles), np.sin(angles)])
     return DiscreteCurve(pts, closed=True, sigma=sigma)
@@ -288,9 +285,13 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
     """Signed area (1/2) sum <p_k, nu_k> l_k; sign depends on orientation and sigma."""
     if not curve.closed:
         raise OpenCurve("enclosed volume requires a closed curve")
-    pts = curve.points
-    re = rot90(curve.edge_vectors, curve.sigma)
-    return 0.5 * float(np.sum(pts[:, 0] * re[:, 0] + pts[:, 1] * re[:, 1]))
+    return _signed_area(curve.points, curve.sigma)
+
+
+def _signed_area(points: np.ndarray, sigma: int) -> float:
+    """enclosed_volume of the closed polygon through points, which need not be a curve."""
+    re = rot90(np.concatenate([points[1:], points[:1]]) - points, sigma)
+    return 0.5 * float(np.sum(points[:, 0] * re[:, 0] + points[:, 1] * re[:, 1]))
 
 
 def turning_number(curve: DiscreteCurve) -> int:

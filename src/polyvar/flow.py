@@ -11,11 +11,12 @@ is recovered by least squares and the limit is classified as an equilibrium.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import DiscreteCurve, enclosed_volume, total_length
+from .curves import DiscreteCurve, _signed_area, enclosed_volume, total_length
 from .errors import ZeroEdge, ZeroVolumeGradient
 from .variation import EquilibriumReport, classify_equilibrium, length_gradients, volume_gradients
 
@@ -33,10 +34,12 @@ class FlowConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.grad_tolerance <= 0:
-            raise ValueError("grad_tolerance must be positive")
+        for name in ("step_size", "grad_tolerance"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name, least in (("max_steps", 0), ("record_every", 1)):
+            if operator.index(getattr(self, name)) < least:  # TypeError unless an integer
+                raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,13 @@ def lagrange_kappa(curve: DiscreteCurve) -> float:
     return -float(np.sum(gl * gv)) / float(np.sum(gv * gv))
 
 
-def _rescaled_to_volume(curve: DiscreteCurve, target: float) -> DiscreteCurve:
-    """Homothety about the vertex centroid restoring the enclosed area."""
-    current = enclosed_volume(curve)
+def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.ndarray:
+    """Homothety about the centroid of the trial points restoring the enclosed area."""
+    current = _signed_area(points, sigma)
     if current == 0.0 or not target / current > 0:
         raise ValueError("enclosed area degenerated during the step")
-    centroid = curve.points.mean(axis=0)
-    return curve.with_points(centroid + np.sqrt(target / current) * (curve.points - centroid))
+    centroid = points.mean(axis=0)
+    return centroid + np.sqrt(target / current) * (points - centroid)
 
 
 def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | None = None):
@@ -115,7 +118,9 @@ def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | N
     h = config.step_size
     for _ in range(MAX_HALVINGS + 1):
         try:
-            candidate = _rescaled_to_volume(curve.with_points(curve.points - h * g), target_volume)
+            # a zero edge of the trial survives the homothety; non-finite points fail its area test
+            trial = curve.points - h * g
+            candidate = curve.with_points(_rescaled_to_volume(trial, target_volume, curve.sigma))
             # expected first-order decrease is h * |g|^2; demand a tenth of it,
             # up to the round-off resolution of the length itself
             if total_length(candidate) <= diagnostics["length"] - 0.1 * h * g_norm_sq + roundoff:
@@ -137,44 +142,36 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
         raise ValueError("the constrained flow is defined for closed curves")
     target_volume = enclosed_volume(curve)
     snapshots: list[FlowSnapshot] = []
-
-    def record(step: int, c: DiscreteCurve, diag: dict):
-        snapshots.append(
-            FlowSnapshot(
-                step=step,
-                # a fresh curve, so that the kept snapshots do not hold cached arrays
-                curve=c.with_points(c.points),
-                length=diag["length"],
-                volume=diag["volume"],
-                max_projected_gradient=diag["max_projected_gradient"],
-            )
-        )
-
-    current = curve
+    current, verdict = curve, None
     for step in range(config.max_steps + 1):
         new_curve, diag = flow_step(current, config, target_volume=target_volume)
-        converged = diag["max_projected_gradient"] < config.grad_tolerance
-        stuck = not converged and diag["step_size_used"] is None
-        if step % config.record_every == 0 or converged or stuck or step == config.max_steps:
-            record(step, current, diag)
-        if converged:
-            kappa = lagrange_kappa(current)
-            report = classify_equilibrium(current, kappa, tol=CLASSIFY_TOLERANCE)
-            return FlowTrajectory(
-                snapshots=snapshots,
-                verdict="converged",
-                steps_taken=step,
-                report=report,
-                kappa_estimate=kappa,
+        if diag["max_projected_gradient"] < config.grad_tolerance:
+            verdict = "converged"
+        elif diag["step_size_used"] is None:
+            verdict = "degenerated"
+        elif step == config.max_steps:
+            verdict = "max_steps"
+        if verdict or step % config.record_every == 0:
+            snapshots.append(
+                FlowSnapshot(
+                    step=step,
+                    # a fresh curve, so that the kept snapshots do not hold cached arrays
+                    curve=current.with_points(current.points),
+                    length=diag["length"],
+                    volume=diag["volume"],
+                    max_projected_gradient=diag["max_projected_gradient"],
+                )
             )
-        if stuck:
-            return FlowTrajectory(
-                snapshots=snapshots,
-                verdict="degenerated",
-                steps_taken=step,
-                reason=f"no acceptable step at step {step} "
-                f"(gradient {diag['max_projected_gradient']:.3e})",
-            )
-        if step == config.max_steps:
-            return FlowTrajectory(snapshots=snapshots, verdict="max_steps", steps_taken=step)
+        if verdict:
+            break
         current = new_curve
+
+    trajectory = FlowTrajectory(snapshots=snapshots, verdict=verdict, steps_taken=step)
+    if verdict == "converged":
+        kappa = lagrange_kappa(current)
+        report = classify_equilibrium(current, kappa, tol=CLASSIFY_TOLERANCE)
+        trajectory = replace(trajectory, report=report, kappa_estimate=kappa)
+    elif verdict == "degenerated":
+        reason = f"no acceptable step at step {step} (gradient {diag['max_projected_gradient']:.3e})"
+        trajectory = replace(trajectory, reason=reason)
+    return trajectory

@@ -75,10 +75,17 @@ def _require_no_cusp(curve: DiscreteCurve):
         raise CuspVertex(int(cusps[0]))
 
 
-def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.ndarray:
-    """1 - t * kappa(e_k) per edge, once the curve is known closed and cusp-free."""
+def _check_offset(curve: DiscreteCurve, t: float, open_message: str):
+    """Reject a distance t that is not finite, then an open curve."""
+    if not np.isfinite(t):
+        raise ValueError(f"offset distance t = {t} is not finite")
     if not curve.closed:
         raise OpenCurve(open_message)
+
+
+def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.ndarray:
+    """1 - t * kappa(e_k) per edge, once the curve is known closed and cusp-free."""
+    _check_offset(curve, t, open_message)
     _require_no_cusp(curve)
     return 1.0 - t * edge_curvatures(curve)
 
@@ -128,8 +135,7 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     arc:     L - t * sum theta_k          (Minkowski / normal-cone boundary)
     wedge:   L - t * sum 2 tan(theta_k/2) (equals the Steiner per-edge sum)
     """
-    if not curve.closed:
-        raise OpenCurve("offset lengths require a closed curve")
+    _check_offset(curve, t, "offset lengths require a closed curve")
     if variant == "wedge":
         _require_no_cusp(curve)  # before the turning angles warn about the cusp
     theta = curve.turning_angles
@@ -153,8 +159,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
     if variant == "wedge":
         return parallel_curve(curve, t)
     if variant == "segment":
-        if not curve.closed:
-            raise OpenCurve("segment offsets require a closed curve")
+        _check_offset(curve, t, "segment offsets require a closed curve")
         nu = curve.edge_normals
         pts, nxt = _at_edges(curve, curve.points)
         doubled = np.empty((2 * curve.n, 2))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _check_winding, rot90
+from .curves import DiscreteCurve, _at_edges, _check_regular, rot90
 from .errors import CuspVertex, MeanNotZero, NotEquilibrium, OpenCurve
 from .offsets import vertex_normals
 from .variation import _check_field, classify_equilibrium
@@ -94,10 +94,17 @@ def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
     return v
 
 
+def _regular_data(n: int, m: int, a: float = 1.0):
+    """(l_0, kappa, tan^2(m pi / n)) of the regular polygon (n, m, a)."""
+    _check_regular(n, m, a)
+    l0 = 2.0 * a * np.sin(m * np.pi / n)
+    kappa = -1.0 / (a * np.cos(m * np.pi / n))
+    return l0, kappa, np.tan(m * np.pi / n) ** 2
+
+
 def regular_polygon_kappa(n: int, m: int, a: float = 1.0) -> float:
     """Lagrange multiplier of the regular polygon: -1 / (a cos(m pi / n))."""
-    _check_winding(n, m)
-    return -1.0 / (a * np.cos(m * np.pi / n))
+    return _regular_data(n, m, a)[1]
 
 
 def second_variation_regular(n: int, m: int, a: float, psi, eta=None) -> float:
@@ -112,13 +119,10 @@ def second_variation_regular(n: int, m: int, a: float, psi, eta=None) -> float:
     is the quadratic form itself; restricting to sum psi_k = 0 is what makes
     it a stability test.
     """
-    _check_winding(n, m)
+    l0, kappa, tan_sq = _regular_data(n, m, a)
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (n,):
         raise ValueError(f"psi must have shape ({n},)")
-    l0 = 2.0 * a * np.sin(m * np.pi / n)
-    kappa = regular_polygon_kappa(n, m, a)
-    tan_sq = np.tan(m * np.pi / n) ** 2
 
     dpsi = (np.roll(psi, -1) - psi) / l0
     value = np.sum(dpsi * dpsi) - kappa**2 * np.sum(psi * np.roll(psi, -1))
@@ -161,19 +165,13 @@ def wirtinger_gap(psi) -> tuple[float, bool]:
     return gap, equality
 
 
-def _jacobi_alpha(n: int, m: int) -> float:
-    """alpha = 1 + 2 tan^2(m pi / n) of the regular polygon (n, m)."""
-    _check_winding(n, m)
-    return 1.0 + 2.0 * np.tan(m * np.pi / n) ** 2
-
-
 def jacobi_matrix(n: int, m: int) -> np.ndarray:
     """Circulant matrix H with first row (2, -alpha, 0, ..., 0, -alpha).
 
     <H psi, psi> / l_0 is the second variation of a normal variation psi on
     the regular polygon (n, m).
     """
-    alpha = _jacobi_alpha(n, m)
+    alpha = jacobi_spectrum(n, m).alpha
     H = 2.0 * np.eye(n)
     idx = np.arange(n)
     H[idx, (idx + 1) % n] = -alpha
@@ -197,7 +195,7 @@ def jacobi_spectrum(n: int, m: int) -> SpectrumReport:
     The j = n (constant) eigenvector violates the zero-mean constraint and is
     excluded; the Morse index counts the remaining negative eigenvalues.
     """
-    alpha = _jacobi_alpha(n, m)
+    alpha = 1.0 + 2.0 * _regular_data(n, m)[2]
     j = np.arange(1, n)
     eigenvalues = 2.0 - 2.0 * alpha * np.cos(2.0 * np.pi * j / n)
     negative = j[eigenvalues < 0]
@@ -225,12 +223,8 @@ class CertificateResult(NamedTuple):
 def certificate_coefficient(n: int, m: int, a: float = 1.0) -> float:
     """delta^2 L per unit sum psi_k^2 for the lowest harmonic normal field:
     (4 / l_0) [ sin^2(pi/n) - cos(2 pi/n) tan^2(m pi/n) ]."""
-    _check_winding(n, m)
-    l0 = 2.0 * a * np.sin(m * np.pi / n)
-    return float(
-        (4.0 / l0)
-        * (np.sin(np.pi / n) ** 2 - np.cos(2.0 * np.pi / n) * np.tan(m * np.pi / n) ** 2)
-    )
+    l0, _, tan_sq = _regular_data(n, m, a)
+    return float((4.0 / l0) * (np.sin(np.pi / n) ** 2 - np.cos(2.0 * np.pi / n) * tan_sq))
 
 
 def instability_certificate(n: int, m: int, a: float = 1.0) -> CertificateResult:

@@ -107,6 +107,8 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     positive verdict asserts (not assumes) the regular-polygon structure:
     uniform edge lengths and turning angles, and kappa * l0 = 2 tan(theta0/2).
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance {tol} must be finite and positive")
     if kappa == 0.0:
         raise KappaZero("classification requires kappa != 0")
     residual = equilibrium_residual(curve, kappa)

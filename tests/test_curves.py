@@ -53,6 +53,24 @@ def test_make_curve_zero_wrap_edge():
     assert err.value.k == 3
 
 
+# the first edge k with p_{k+1} == p_k, or None where the curve is accepted
+@pytest.mark.parametrize("points, closed, k", [
+    ([(0, 0), (5e-324, 0), (1, 1)], True, None),  # a subnormal gap is not zero
+    ([(0, 0), (1, 0), (1, 1), (1, 1)], False, 2),  # the last edge of an open curve
+    ([(0, 0), (1, 0), (1, 0), (0, 0)], True, 1),  # the first of two zero edges
+    ([(0.0, 0.0), (-0.0, 0.0), (1, 1)], True, 0),  # -0.0 equals 0.0
+    ([(0.0, 0.0), (1, 1), (-0.0, -0.0)], True, 2),  # ... on the closing edge too
+    ([(0.0, 0.0), (1, 1), (-0.0, -0.0)], False, None),  # which an open curve lacks
+], ids=["subnormal", "open-end", "first-of-two", "signed-zero", "signed-zero-closing", "open-ends-equal"])
+def test_make_curve_zero_edge_cases(points, closed, k):
+    if k is None:
+        assert make_curve(points, closed=closed).n == len(points)
+    else:
+        with pytest.raises(ZeroEdge) as err:
+            make_curve(points, closed=closed)
+        assert err.value.k == k
+
+
 def test_make_curve_too_few_vertices():
     with pytest.raises(TooFewVertices):
         make_curve([(0, 0), (1, 0)], closed=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyvar import (
+    DiscreteCurve,
     FlowConfig,
     edge_lengths,
     enclosed_volume,
@@ -68,6 +69,42 @@ def test_flow_step_rectangle_descends():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(step_size=0.0)
+    for field in ("step_size", "grad_tolerance"):
+        for value in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                FlowConfig(**{field: value})
+    with pytest.raises(ValueError, match="max_steps"):
+        FlowConfig(max_steps=-1)
+    with pytest.raises(ValueError, match="record_every"):
+        FlowConfig(record_every=0)
+    with pytest.raises(TypeError):
+        FlowConfig(max_steps=2.5)
+    assert FlowConfig(max_steps=0, record_every=np.int64(1)).max_steps == 0
+
+
+def test_accepted_flow_step_builds_one_curve(monkeypatch):
+    rect = make_curve([(0, 0), (2, 0), (2, 1), (0, 1)])
+    config = FlowConfig(step_size=0.01)
+    built = []
+    post_init = DiscreteCurve.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DiscreteCurve, "__post_init__", counted)
+    new_curve, diag = flow_step(rect, config)
+    assert diag["step_size_used"] == config.step_size  # the first trial was accepted
+    assert built == [new_curve]
+
+
+def test_run_flow_zero_steps():
+    rect = make_curve([(0, 0), (2, 0), (2, 1), (0, 1)])
+    trajectory = run_flow(rect, FlowConfig(max_steps=0))
+    assert trajectory.verdict == "max_steps"
+    assert trajectory.steps_taken == 0
+    assert [snap.step for snap in trajectory.snapshots] == [0]
+    assert np.array_equal(trajectory.snapshots[0].curve.points, rect.points)
 
 
 def test_run_flow_square_converges_immediately(sq):

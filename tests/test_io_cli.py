@@ -199,6 +199,29 @@ def test_cli_exit_code_of_each_error_class(name, code, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("polyvar: error: ")
 
 
+# a number outside its domain exits 2 with one error line that names it
+@pytest.mark.parametrize("command, name", [
+    (("flow", "--max-steps", "-1"), "max_steps"),
+    (("flow", "--tol", "nan"), "grad_tolerance"),
+    (("analyze", "--tol", "-1"), "tolerance"),
+    (("analyze", "--tol", "inf", "--kappa", "5"), "tolerance"),
+    (("offset", "--t", "nan"), "distance t"),
+    (("stability", "--n", "5", "--m", "2", "--a", "-1"), "radius a"),
+    (("stability", "--n", "5", "--m", "2", "--a", "0"), "radius a"),
+], ids=["flow-max-steps", "flow-tol", "analyze-tol-negative", "analyze-tol-inf", "offset-t",
+        "stability-a-negative", "stability-a-zero"])
+def test_cli_rejects_number_out_of_domain(command, name, tmp_path, capsys):
+    path = tmp_path / "sq.json"
+    write_curve(regular_polygon(4), path)
+    source = () if command[0] == "stability" else ("--in", str(path))
+    out = tmp_path / "out"
+    assert run_cli(command[0], *source, *command[1:], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polyvar: error:") and err.count("\n") == 1
+    assert name in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_cli_offset_flags_collapse_rows(tmp_path, capsys):
     curve_path = str(tmp_path / "sq.json")
     run_cli("generate", "--n", "4", "--m", "1", "--out", curve_path)

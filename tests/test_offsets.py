@@ -202,6 +202,20 @@ def test_offset_length_unknown_variant(sq):
         offset_length(sq, 0.1, "bevel")
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_offsets_reject_distance_not_finite(sq, t):
+    for call in (
+        lambda: parallel_curve(sq, t),
+        lambda: steiner_report(sq, t),
+        lambda: offset_length(sq, t, "arc"),
+        lambda: offset_length(sq, t, "segment"),
+        lambda: offset_polygon(sq, t, "segment"),
+        lambda: offset_polygon(sq, t, "wedge"),
+    ):
+        with pytest.raises(ValueError, match="distance t"):
+            call()
+
+
 def test_offset_polygon_wedge_is_parallel_curve(sq):
     assert np.allclose(offset_polygon(sq, 0.4, "wedge").points, parallel_curve(sq, 0.4).points)
 

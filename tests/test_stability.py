@@ -263,6 +263,20 @@ def test_second_variation_regular_invalid_winding():
         second_variation_regular(6, 3, 1.0, np.zeros(6))
 
 
+@pytest.mark.parametrize("a", [-1.0, 0.0, np.nan, np.inf])
+def test_regular_closed_forms_reject_radius(a):
+    # a = -1 flipped the sign of the pentagram's certificate; a = 0 divided by zero
+    for call in (
+        lambda: regular_polygon(5, 2, a),
+        lambda: regular_polygon_kappa(5, 2, a),
+        lambda: second_variation_regular(5, 2, a, harmonic_field(5, 1)),
+        lambda: certificate_coefficient(5, 2, a),
+        lambda: instability_certificate(5, 2, a),
+    ):
+        with pytest.raises(ValueError, match="radius a"):
+            call()
+
+
 # -------------------------------------------------------------- harmonic fields
 
 def test_harmonic_field_examples():

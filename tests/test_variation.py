@@ -16,7 +16,7 @@ from polyvar import (
 )
 from polyvar.errors import KappaZero, OpenCurve
 from polyvar.flow import project_volume_preserving
-from polyvar.stability import regular_polygon_kappa
+from polyvar.stability import regular_polygon_kappa, second_variation
 
 from helpers import brute_length, central_gradient, oracle_volume, random_star_polygon
 
@@ -199,6 +199,15 @@ def test_classify_equilibrium_pentagram(pent52):
 def test_classify_equilibrium_kappa_zero(sq):
     with pytest.raises(KappaZero):
         classify_equilibrium(sq, 0.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_classify_equilibrium_rejects_tolerance(sq, tol):
+    # with tol = inf the unit square passed at kappa = 5, a residual of 6.4
+    with pytest.raises(ValueError, match="tolerance"):
+        classify_equilibrium(sq, 5.0, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        second_variation(sq, -SQRT2, np.zeros((4, 2)), tol=tol)
 
 
 def test_equilibrium_sweep_and_perturbation():
