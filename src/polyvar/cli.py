@@ -23,7 +23,7 @@ from .curvature import SCHEMES
 from .curves import regular_polygon, total_length
 from .errors import CurveError, CuspWarning, EdgeCollapse
 from .flow import FlowConfig, lagrange_kappa, run_flow
-from .offsets import offset_length, offset_polygon
+from .offsets import OFFSET_VARIANTS, offset_length, offset_polygon
 from .stability import certificate_coefficient, jacobi_spectrum
 from .variation import classify_equilibrium
 
@@ -86,24 +86,26 @@ def cmd_offset(args) -> dict[str, str]:
     for i, t in enumerate(t_values):
         predicted = offset_length(curve, t, args.variant)
         if args.variant == "arc":
-            rows.append((t, predicted, None, "ok"))
+            rows.append((t, predicted, None, None, "ok"))
             note = "arc offsets are not polygonal; lengths reported in the CSV only"
             continue
         try:
             polygon = offset_polygon(curve, t, args.variant)
         except EdgeCollapse as exc:
-            rows.append((t, predicted, None, "edge_collapse"))
+            rows.append((t, predicted, None, None, "edge_collapse"))
             print(f"t={t:g}: {exc}", file=sys.stderr)
             continue
-        rows.append((t, predicted, total_length(polygon), "ok"))
+        actual = total_length(polygon)
+        rows.append((t, predicted, actual, abs(predicted - actual), "ok"))
         layers.append(
             svg.SvgLayer(polygon.points, closed=True, color=svg.PALETTE[1 + i % (len(svg.PALETTE) - 1)])
         )
-    return {".csv": pio.offset_table(rows), ".svg": svg.render(layers, comment=note)}
+    header = ["t", "predicted_length", "actual_length", "abs_error", "status"]
+    return {".csv": pio.csv_table(header, rows), ".svg": svg.render(layers, comment=note)}
 
 
 def cmd_stability(args) -> dict[str, str]:
-    entries = []
+    rows = []
     for n in _parse_int_range(args.n):
         m_values = range(1, n) if args.m == "all" else [int(args.m)]
         for m in m_values:
@@ -111,7 +113,7 @@ def cmd_stability(args) -> dict[str, str]:
                 print(f"skipping n={n} m={m}: m/n = 1/2", file=sys.stderr)
                 continue
             spectrum = jacobi_spectrum(n, m)
-            entries.append(
+            rows.append(
                 (
                     n,
                     m,
@@ -121,7 +123,8 @@ def cmd_stability(args) -> dict[str, str]:
                     certificate_coefficient(n, m, a=args.a),
                 )
             )
-    return {"": pio.stability_table(entries)}
+    header = ["n", "m", "alpha", "min_lambda", "morse_index", "certificate_coefficient"]
+    return {"": pio.csv_table(header, rows)}
 
 
 def cmd_flow(args) -> dict[str, str]:
@@ -159,7 +162,9 @@ def cmd_flow(args) -> dict[str, str]:
         print(f"degenerated: {trajectory.reason}", file=sys.stderr)
     else:
         print(f"not converged after {trajectory.steps_taken} steps", file=sys.stderr)
-    return {".csv": pio.flow_table(trajectory), ".svg": svg.render(layers)}
+    header = ["step", "length", "volume", "max_projected_gradient"]
+    rows = [(s.step, s.length, s.volume, s.max_projected_gradient) for s in trajectory.snapshots]
+    return {".csv": pio.csv_table(header, rows), ".svg": svg.render(layers)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("offset", help="offset family lengths, Steiner check, SVG overlay")
     p.add_argument("--in", dest="input", required=True, help="input curve file")
     p.add_argument("--t", required=True, help="comma-separated offset distances")
-    p.add_argument("--variant", default="wedge", choices=("segment", "arc", "wedge"))
+    p.add_argument("--variant", default="wedge", choices=OFFSET_VARIANTS)
     p.add_argument("--out", help="output prefix (.csv and .svg appended)")
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_offset)

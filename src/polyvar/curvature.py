@@ -21,6 +21,7 @@ import numpy as np
 
 from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
+from .variation import length_gradients
 
 SCHEMES = ("vertex_osculating", "arclength", "hatakeyama", "half_edge_sum")
 
@@ -83,8 +84,7 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
 
     Equals minus the length gradient over L_k; independent of sigma.
     """
-    t_prev, t = _at_vertices(curve, curve.tangents)
-    return (t - t_prev) / line_elements(curve, scheme)[:, None]
+    return -length_gradients(curve) / line_elements(curve, scheme)[:, None]
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:

@@ -61,6 +61,15 @@ class FlowTrajectory:
     kappa_estimate: float | None = None
 
 
+def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray, floor_sq: float):
+    """(field . gradVol) / |gradVol|^2 and gradVol; ZeroVolumeGradient if |gradVol|^2 <= floor_sq."""
+    gv = volume_gradients(curve)
+    gv_norm_sq = float(np.sum(gv * gv))
+    if gv_norm_sq <= floor_sq:
+        raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
+    return float(np.sum(field * gv)) / gv_norm_sq, gv
+
+
 def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
     """Remove the component of the field along the area gradient.
 
@@ -68,18 +77,14 @@ def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
     round-off.
     """
     v = np.asarray(field, dtype=float)
-    gv = volume_gradients(curve)
-    gv_norm_sq = float(np.sum(gv * gv))
-    if gv_norm_sq <= (1e-14 * max(curve.diameter(), 1.0)) ** 2:
-        raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
-    return v - (float(np.sum(v * gv)) / gv_norm_sq) * gv
+    c, gv = _along_volume_gradient(curve, v, (1e-14 * max(curve.diameter(), 1.0)) ** 2)
+    return v - c * gv
 
 
 def lagrange_kappa(curve: DiscreteCurve) -> float:
     """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
-    gl = length_gradients(curve)
-    gv = volume_gradients(curve)
-    return -float(np.sum(gl * gv)) / float(np.sum(gv * gv))
+    # kappa scales as 1/diameter, so a fixed floor would reject small curves; only 0 is rejected
+    return -_along_volume_gradient(curve, length_gradients(curve), 0.0)[0]
 
 
 def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.ndarray:
@@ -143,28 +148,30 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
     target_volume = enclosed_volume(curve)
     snapshots: list[FlowSnapshot] = []
     current, verdict = curve, None
-    for step in range(config.max_steps + 1):
-        new_curve, diag = flow_step(current, config, target_volume=target_volume)
-        if diag["max_projected_gradient"] < config.grad_tolerance:
-            verdict = "converged"
-        elif diag["step_size_used"] is None:
-            verdict = "degenerated"
-        elif step == config.max_steps:
-            verdict = "max_steps"
-        if verdict or step % config.record_every == 0:
-            snapshots.append(
-                FlowSnapshot(
-                    step=step,
-                    # a fresh curve, so that the kept snapshots do not hold cached arrays
-                    curve=current.with_points(current.points),
-                    length=diag["length"],
-                    volume=diag["volume"],
-                    max_projected_gradient=diag["max_projected_gradient"],
+    # an overflowing trial step fails the area test; its numpy warnings would only reach stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.max_steps + 1):
+            new_curve, diag = flow_step(current, config, target_volume=target_volume)
+            if diag["max_projected_gradient"] < config.grad_tolerance:
+                verdict = "converged"
+            elif diag["step_size_used"] is None:
+                verdict = "degenerated"
+            elif step == config.max_steps:
+                verdict = "max_steps"
+            if verdict or step % config.record_every == 0:
+                snapshots.append(
+                    FlowSnapshot(
+                        step=step,
+                        # a fresh curve, so that the kept snapshots do not hold cached arrays
+                        curve=current.with_points(current.points),
+                        length=diag["length"],
+                        volume=diag["volume"],
+                        max_projected_gradient=diag["max_projected_gradient"],
+                    )
                 )
-            )
-        if verdict:
-            break
-        current = new_curve
+            if verdict:
+                break
+            current = new_curve
 
     trajectory = FlowTrajectory(snapshots=snapshots, verdict=verdict, steps_taken=step)
     if verdict == "converged":

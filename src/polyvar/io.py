@@ -26,7 +26,6 @@ from .curves import (
     turning_number,
 )
 from .errors import CuspPresent, SchemeInapplicable
-from .flow import FlowTrajectory
 from .variation import EquilibriumReport
 
 CURVE_FILE_VERSION = 1
@@ -83,12 +82,21 @@ def read_curve(path) -> DiscreteCurve:
         return curve_from_json(f.read())
 
 
-def _csv(rows) -> str:
-    return "\n".join(",".join(cells) for cells in rows) + "\n"
-
-
 def _cell(value) -> str:
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return "" if value is None or not np.isfinite(value) else fmt17(value)
+
+
+def csv_table(header, rows) -> str:
+    """CSV text: the header line, then one line per row of cells.
+
+    A str or integer cell is written with str().  Any other cell is a number
+    at 17 significant digits, or empty when it is None or not finite.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
@@ -97,26 +105,16 @@ def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
     Cells are left empty where a quantity is undefined (open-curve boundary,
     cusp vertices, arclength scheme on a non-uniform curve).
     """
-    n = curve.n
-    l = edge_lengths(curve)
-    theta = turning_angles(curve)
-    kappa_cols = {}
+    no_edge = [None] * (curve.n - curve.edge_count)  # the last vertex of an open curve
+    columns = [range(curve.n), [*edge_lengths(curve), *no_edge], turning_angles(curve)]
     for scheme in schemes:
         try:
-            kappa_cols[scheme] = vertex_curvatures(curve, scheme)
+            columns.append(vertex_curvatures(curve, scheme))
         except SchemeInapplicable:
-            kappa_cols[scheme] = np.full(n, np.nan)
-    kappa_edge = edge_curvatures(curve)
-
-    rows = [["k", "l_k", "theta_k"] + [f"kappa_{s}" for s in schemes] + ["kappa_edge"]]
-    for k in range(n):
-        has_edge = k < curve.edge_count
-        rows.append(
-            [str(k), _cell(l[k] if has_edge else None), _cell(theta[k])]
-            + [_cell(kappa_cols[s][k]) for s in schemes]
-            + [_cell(kappa_edge[k] if has_edge else None)]
-        )
-    return _csv(rows)
+            columns.append([None] * curve.n)
+    columns.append([*edge_curvatures(curve), *no_edge])
+    header = ["k", "l_k", "theta_k", *(f"kappa_{s}" for s in schemes), "kappa_edge"]
+    return csv_table(header, zip(*columns))
 
 
 def equilibrium_to_dict(report: EquilibriumReport, source: str) -> dict:
@@ -151,37 +149,3 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
     if equilibrium is not None:
         doc["equilibrium"] = equilibrium
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def offset_table(rows) -> str:
-    """CSV of (t, predicted_length, actual_length, abs_error, status) rows."""
-    out = [["t", "predicted_length", "actual_length", "abs_error", "status"]]
-    for t, predicted, actual, status in rows:
-        err = None if (predicted is None or actual is None) else abs(predicted - actual)
-        out.append(
-            [
-                fmt17(t),
-                _cell(predicted),
-                _cell(actual),
-                _cell(err),
-                status,
-            ]
-        )
-    return _csv(out)
-
-
-def stability_table(entries) -> str:
-    """CSV of (n, m, alpha, min_lambda, morse_index, certificate_coefficient)."""
-    out = [["n", "m", "alpha", "min_lambda", "morse_index", "certificate_coefficient"]]
-    for n, m, alpha, min_lambda, index, coeff in entries:
-        out.append([str(n), str(m), fmt17(alpha), fmt17(min_lambda), str(index), fmt17(coeff)])
-    return _csv(out)
-
-
-def flow_table(trajectory: FlowTrajectory) -> str:
-    out = [["step", "length", "volume", "max_projected_gradient"]]
-    for snap in trajectory.snapshots:
-        out.append(
-            [str(snap.step), fmt17(snap.length), fmt17(snap.volume), fmt17(snap.max_projected_gradient)]
-        )
-    return _csv(out)

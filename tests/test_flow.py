@@ -48,6 +48,15 @@ def test_project_zero_volume_gradient():
     flat = make_curve([(0, 0), (1, 0), (0, 0), (1, 0.0)])
     with pytest.raises(ZeroVolumeGradient):
         project_volume_preserving(flat, np.ones((4, 2)))
+    with pytest.raises(ZeroVolumeGradient):
+        lagrange_kappa(flat)
+
+
+@pytest.mark.parametrize("side", [1e-15, 1e-6, 1.0, 1e6])
+def test_lagrange_kappa_square_any_scale(side):
+    # A_k = (nu_k - nu_{k-1}) + (kappa/2) chord_k vanishes: sqrt(2) = (kappa/2) sqrt(2) side
+    square = make_curve([(0, 0), (side, 0), (side, side), (0, side)])
+    assert lagrange_kappa(square) == pytest.approx(-2.0 / side, rel=1e-14)
 
 
 def test_flow_step_fixed_at_equilibrium(sq, pent52):

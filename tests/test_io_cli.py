@@ -1,11 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from polyvar import cli, errors, make_curve, regular_polygon
 from polyvar.cli import main
-from polyvar.io import analyze_table, curve_from_json, curve_to_json, fmt17, read_curve, write_curve
+from polyvar.io import (
+    analyze_table,
+    csv_table,
+    curve_from_json,
+    curve_to_json,
+    fmt17,
+    read_curve,
+    write_curve,
+)
 
 from helpers import random_star_polygon
 
@@ -46,6 +55,26 @@ def test_curve_file_field_errors():
 def test_fmt17_round_trips(rng):
     for x in rng.normal(size=50) * 10.0 ** rng.integers(-12, 12, size=50):
         assert float(fmt17(x)) == x
+
+
+def test_csv_table_cell_rule():
+    cells = {
+        "status": ("edge_collapse", "edge_collapse"),
+        "int": (12, "12"),
+        "np_int": (np.int64(3), "3"),
+        "big_int": (10**17 + 1, "100000000000000001"),
+        "float": (0.1, "0.10000000000000001"),
+        "tiny": (np.float64(-2.5e-300), "-2.5e-300"),
+        "none": (None, ""),
+        "nan": (np.nan, ""),
+        "inf": (np.inf, ""),
+        "-inf": (-np.inf, ""),
+    }
+    header = list(cells)
+    row = [value for value, _ in cells.values()]
+    expected = ",".join(text for _, text in cells.values())
+    assert csv_table(header, [row, row]) == f"{','.join(header)}\n{expected}\n{expected}\n"
+    assert csv_table(["only"], []) == "only\n"
 
 
 def test_analyze_table_square(sq):
@@ -220,6 +249,44 @@ def test_cli_rejects_number_out_of_domain(command, name, tmp_path, capsys):
     assert err.startswith("polyvar: error:") and err.count("\n") == 1
     assert name in err
     assert not list(tmp_path.glob("out*"))
+
+
+# a small degenerate curve file ends each command with 0, 2 or 3 and one clean stderr
+DEGENERATE_CURVES = {
+    "fold": ([(0, 0), (1, 0), (0, 0), (1, 0)], True),  # every chord is zero
+    "back-and-forth": ([(0, 0), (2, 0), (1, 0), (3, 0)], False),
+    "cusp": ([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)], True),
+    "open": ([(0, 0), (1, 0), (1, 1)], False),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("analyze",), ("offset", "--t", "0.1"), ("flow", "--max-steps", "50"),
+], ids=["analyze", "offset", "flow"])
+@pytest.mark.parametrize("name", DEGENERATE_CURVES)
+def test_cli_degenerate_curve_exits_cleanly(name, command, tmp_path, capsys):
+    points, closed = DEGENERATE_CURVES[name]
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"version": 1, "closed": closed, "sigma": -1, "points": points}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning that reaches the CLI fails the call
+        code = run_cli(command[0], "--in", str(path), *command[1:], "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert err.startswith("polyvar: error:") and err.count("\n") == 1
+
+
+def test_cli_flow_overflowing_step_degenerates_quietly(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "hept.json"
+    write_curve(make_curve(regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("flow", "--in", str(path), "--step", "1e200", "--out", str(tmp_path / "f")) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("degenerated:") and "Warning" not in err
 
 
 def test_cli_offset_flags_collapse_rows(tmp_path, capsys):
