@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _edge_endpoint_angles, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
 from .variation import length_gradients
 
@@ -102,11 +102,6 @@ def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
     return _value_at(curve, vertex_curvatures(curve, scheme), k, _scheme_undefined)
 
 
-def _edge_endpoint_angles(curve: DiscreteCurve):
-    """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
-    return _at_edges(curve, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
-
-
 def edge_line_elements(curve: DiscreteCurve) -> np.ndarray:
     """Edge line element L'_k = l_k cos(theta_k/2) cos(theta_{k+1}/2)."""
     th0, th1 = _edge_endpoint_angles(curve)
@@ -121,10 +116,11 @@ def edge_line_element(curve: DiscreteCurve, k: int) -> float:
 
 
 def edge_curvatures(curve: DiscreteCurve) -> np.ndarray:
-    """Edge curvature kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k."""
-    th0, th1 = _edge_endpoint_angles(curve)
-    with np.errstate(invalid="ignore"):
-        return (np.tan(0.5 * th0) + np.tan(0.5 * th1)) / curve.edge_lengths
+    """Edge curvature kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k.
+
+    Read-only, computed once per curve.
+    """
+    return curve.edge_curvatures
 
 
 def edge_curvature(curve: DiscreteCurve, k: int) -> float:

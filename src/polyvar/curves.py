@@ -18,8 +18,13 @@ read-only attribute (m = edge_count):
   turning_angles  (n,)    theta_k in (-pi, pi], NaN at open-curve ends
   cusp_mask       (n,)    True where 1 + cos(theta_k) <= CUSP_TOL
   chords          (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
+  vertex_normals  (n, 2)  N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k),
+                          NaN at cusps and open-curve ends
+  edge_curvatures (m,)    kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k,
+                          NaN next to a cusp and on the end edges of an open curve
 
-The module functions of the same names return these arrays.
+The functions of the same names (here, in offsets and in curvature) return
+these arrays.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
@@ -59,6 +64,11 @@ def rot90(vectors, sigma):
     out[..., 0] = -sigma * v[..., 1]
     out[..., 1] = sigma * v[..., 0]
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 2) arrays, one column at a time."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -124,7 +134,8 @@ class DiscreteCurve:
 
     def diameter(self) -> float:
         """Bounding-box diagonal; the length scale used by tolerances."""
-        span = self.points.max(axis=0) - self.points.min(axis=0)
+        xy = np.ascontiguousarray(self.points.T)  # reduce along the long axis
+        span = xy.max(axis=1) - xy.min(axis=1)
         return float(np.hypot(span[0], span[1]))
 
     @cached_property
@@ -156,7 +167,7 @@ class DiscreteCurve:
         """(theta, cusp mask), theta already snapped to pi at cusps."""
         prev, cur = _at_vertices(self, self.tangents)
         cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
-        dot = prev[:, 0] * cur[:, 0] + prev[:, 1] * cur[:, 1]
+        dot = _dot(prev, cur)
         theta = self.sigma * np.arctan2(cross, dot)
         with np.errstate(invalid="ignore"):
             cusp = 1.0 + np.cos(theta) <= CUSP_TOL
@@ -174,6 +185,20 @@ class DiscreteCurve:
             warnings.warn(CuspWarning(f"cusp at vertices {np.flatnonzero(cusp).tolist()}"))
         return theta
 
+    @cached_property
+    def vertex_normals(self) -> np.ndarray:
+        nu_prev, nu = _at_vertices(self, self.edge_normals)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = (nu + nu_prev) / (1.0 + np.cos(self.turning_angles))[:, None]
+        out[~np.isfinite(out)] = np.nan
+        return _frozen(out)
+
+    @cached_property
+    def edge_curvatures(self) -> np.ndarray:
+        th0, th1 = _edge_endpoint_angles(self)
+        with np.errstate(invalid="ignore"):
+            return _frozen((np.tan(0.5 * th0) + np.tan(0.5 * th1)) / self.edge_lengths)
+
 
 def _at_vertices(curve: DiscreteCurve, per_edge: np.ndarray):
     """(a_{k-1}, a_k) at every vertex k; a NaN row where an open curve ends."""
@@ -188,6 +213,11 @@ def _at_edges(curve: DiscreteCurve, per_vertex: np.ndarray):
     if curve.closed:
         return per_vertex, np.concatenate([per_vertex[1:], per_vertex[:1]])
     return per_vertex[:-1], per_vertex[1:]
+
+
+def _edge_endpoint_angles(curve: DiscreteCurve):
+    """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
+    return _at_edges(curve, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
 
 
 def _value_at(curve: DiscreteCurve, values: np.ndarray, k: int, undefined=None):
@@ -291,7 +321,7 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
 def _signed_area(points: np.ndarray, sigma: int) -> float:
     """enclosed_volume of the closed polygon through points, which need not be a curve."""
     re = rot90(np.concatenate([points[1:], points[:1]]) - points, sigma)
-    return 0.5 * float(np.sum(points[:, 0] * re[:, 0] + points[:, 1] * re[:, 1]))
+    return 0.5 * float(np.sum(_dot(points, re)))
 
 
 def turning_number(curve: DiscreteCurve) -> int:

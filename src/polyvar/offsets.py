@@ -23,8 +23,8 @@ from .errors import CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
 
-# |1 - t * kappa(e_k)| at or below this aborts the offset instead of
-# producing a zero-length edge.
+# 1 - t * kappa(e_k) at or below this aborts the offset instead of
+# producing a zero-length or reversed edge.
 EDGE_COLLAPSE_TOL = 1e-9
 
 
@@ -32,13 +32,9 @@ def vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     """N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k); NaN at cusps and open ends.
 
     |N_k| = 1/cos(theta_k/2), so N_k is defined (and unit) at straight
-    vertices but blows up toward a cusp.
+    vertices but blows up toward a cusp.  Read-only, computed once per curve.
     """
-    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = (nu + nu_prev) / (1.0 + np.cos(curve.turning_angles))[:, None]
-    out[~np.isfinite(out)] = np.nan
-    return out
+    return curve.vertex_normals
 
 
 def vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
@@ -84,18 +80,23 @@ def _check_offset(curve: DiscreteCurve, t: float, open_message: str):
 
 
 def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.ndarray:
-    """1 - t * kappa(e_k) per edge, once the curve is known closed and cusp-free."""
+    """1 - t * kappa(e_k) per edge of a closed, cusp-free curve.
+
+    EdgeCollapse where a factor is at or below EDGE_COLLAPSE_TOL: that edge
+    of the offset would vanish or point backwards.
+    """
     _check_offset(curve, t, open_message)
     _require_no_cusp(curve)
-    return 1.0 - t * edge_curvatures(curve)
+    factors = 1.0 - t * edge_curvatures(curve)
+    collapsing = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
+    if collapsing.size:
+        raise EdgeCollapse(int(collapsing[0]))
+    return factors
 
 
 def parallel_curve(curve: DiscreteCurve, t: float) -> DiscreteCurve:
     """Offset curve p_k + t N_k; every edge stays parallel to its source edge."""
-    factors = _offset_factors(curve, t, "parallel offsets require a closed curve")
-    collapsing = np.flatnonzero(np.abs(factors) <= EDGE_COLLAPSE_TOL)
-    if collapsing.size:
-        raise EdgeCollapse(int(collapsing[0]))
+    _offset_factors(curve, t, "parallel offsets require a closed curve")
     return curve.with_points(curve.points + t * vertex_normals(curve))
 
 
@@ -115,9 +116,6 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
     absolute value).
     """
     factors = _offset_factors(curve, t, "Steiner report requires a closed curve")
-    bad = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
-    if bad.size:
-        raise EdgeCollapse(int(bad[0]))
     predicted = curve.edge_lengths * factors
     actual = curve.with_points(curve.points + t * vertex_normals(curve)).edge_lengths
     return SteinerReport(

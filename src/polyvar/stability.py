@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _check_regular, rot90
+from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, rot90
 from .errors import CuspVertex, MeanNotZero, NotEquilibrium, OpenCurve
 from .offsets import vertex_normals
 from .variation import _check_field, classify_equilibrium
@@ -44,8 +44,8 @@ def ql_form(curve: DiscreteCurve, field) -> float:
     v, v_next = _at_edges(curve, _check_field(curve, field))
     l = curve.edge_lengths
     grad = (v_next - v) / l[:, None]
-    proj = np.sum(grad * curve.tangents, axis=1)
-    return float(np.sum((np.sum(grad * grad, axis=1) - proj * proj) * l))
+    proj = _dot(grad, curve.tangents)
+    return float(np.sum((_dot(grad, grad) - proj * proj) * l))
 
 
 def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-8) -> float:
@@ -79,9 +79,10 @@ def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:
     """Coordinates (psi, eta) of v_k in the vertex frame (N_k, T_k)."""
     v = np.asarray(field, dtype=float)
     N, T = _vertex_frame(curve)
-    norm_sq = np.sum(N * N, axis=1)
-    psi = np.sum(v * N, axis=1) / norm_sq
-    eta = np.sum(v * T, axis=1) / norm_sq
+    v = np.broadcast_to(v, N.shape)  # one 2-vector is a constant field
+    norm_sq = _dot(N, N)
+    psi = _dot(v, N) / norm_sq
+    eta = _dot(v, T) / norm_sq
     return NormalTangentField(psi=psi, eta=eta)
 
 

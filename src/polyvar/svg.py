@@ -37,9 +37,9 @@ class SvgLayer:
 def render(layers, width=640, comment=None) -> str:
     if not layers:
         raise ValueError("nothing to draw")
-    all_pts = np.vstack([layer.points for layer in layers])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
+    xy = np.hstack([layer.points.T for layer in layers])  # (2, N): reduce along the long axis
+    lo = xy.min(axis=1)
+    hi = xy.max(axis=1)
     span = hi - lo
     pad = 0.1 * max(span[0], span[1])
     lo = lo - pad

@@ -250,9 +250,23 @@ def test_cached_arrays_are_read_only(sq):
         lengths[0] = 5.0
     assert np.array_equal(edge_lengths(sq), before)
     assert edge_lengths(sq) is lengths  # computed once per curve
-    cached = (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask, sq.chords)
+    cached = (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask, sq.chords,
+              sq.vertex_normals, sq.edge_curvatures)
     for values in cached:
         assert not values.flags.writeable
+    for public in (pv.vertex_normals, pv.edge_curvatures):
+        with pytest.raises(ValueError):
+            public(sq)[0] = 5.0
+
+
+@pytest.mark.parametrize("n", [3, 4096])
+@pytest.mark.parametrize("closed", [True, False])
+def test_diameter_is_the_bounding_box_diagonal(rng, n, closed):
+    for shift in (0.0, -10.0):  # the second puts every vertex at negative coordinates
+        p = rng.standard_normal((n, 2)) + shift
+        curve = make_curve(p, closed=closed)
+        expected = float(np.hypot(*(p.max(axis=0) - p.min(axis=0))))
+        assert np.float64(curve.diameter()).tobytes() == np.float64(expected).tobytes()
 
 
 def test_chords_skip_one_vertex(rng):

@@ -301,6 +301,17 @@ def test_cli_offset_flags_collapse_rows(tmp_path, capsys):
     assert lines[2].endswith("edge_collapse")
 
 
+def test_cli_offset_flags_reversed_edges(tmp_path, capsys):
+    curve_path = str(tmp_path / "tri.json")
+    run_cli("generate", "--n", "3", "--m", "1", "--out", curve_path)
+    prefix = str(tmp_path / "off")
+    # at t = -5 every factor 1 - t*kappa(e_k) of the unit triangle is -9
+    assert run_cli("offset", "--in", curve_path, "--t=-5,0.3", "--variant", "wedge", "--out", prefix) == 0
+    lines = (tmp_path / "off.csv").read_text().strip().split("\n")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["edge_collapse", "ok"]
+    assert capsys.readouterr().err.endswith("t=-5: offset collapses edge 0\n")
+
+
 def test_cli_offset_arc_lengths_only(tmp_path):
     curve_path = str(tmp_path / "sq.json")
     run_cli("generate", "--n", "4", "--m", "1", "--out", curve_path)

@@ -26,7 +26,7 @@ from polyvar import (
     weighted_vertex_normals,
 )
 from polyvar.errors import CuspAdjacent, CuspVertex, CuspWarning, EdgeCollapse, OpenCurve
-from polyvar.stability import regular_polygon_kappa
+from polyvar.stability import decompose_field, reconstruct_field, regular_polygon_kappa
 
 from helpers import random_equilateral_polygon, random_star_polygon
 
@@ -140,6 +140,35 @@ def test_steiner_report_square(sq):
 def test_steiner_rejects_collapse_range(sq):
     with pytest.raises(EdgeCollapse):
         steiner_report(sq, -1.0)  # factor 1 - t*kappa goes negative on the square
+
+
+def test_offsets_reject_reversed_edges():
+    # every factor 1 - t*kappa(e_k) of the unit triangle at t = -1 is -1: the
+    # offset edges would point backwards, with |factor| far from 0
+    tri = regular_polygon(3)
+    assert np.allclose(1.0 + edge_curvatures(tri), -1.0)
+    for call in (
+        lambda: parallel_curve(tri, -1.0),
+        lambda: offset_polygon(tri, -1.0, "wedge"),
+        lambda: steiner_report(tri, -1.0),
+    ):
+        with pytest.raises(EdgeCollapse):
+            call()
+
+
+def test_offset_readers_share_the_cached_arrays(rng):
+    curve = random_star_polygon(rng, 9)
+    normals, kappa_e = vertex_normals(curve), edge_curvatures(curve)
+    t = 0.1 / np.abs(kappa_e).max()
+    field = rng.standard_normal((curve.n, 2))
+    steiner_report(curve, t)
+    steiner_report(curve, -t)
+    offset_polygon(curve, t, "wedge")
+    frenet_edge_residuals(curve)
+    parts = decompose_field(curve, field)
+    reconstruct_field(curve, parts.psi, parts.eta)
+    assert vertex_normals(curve) is normals
+    assert edge_curvatures(curve) is kappa_e
 
 
 def test_steiner_report_checks_once_in_order(monkeypatch, sq):

@@ -142,6 +142,8 @@ def test_decompose_field_basis(sq, rng):
     psi, eta = decompose_field(sq, 3.0 * N - 2.0 * T)
     assert np.allclose(psi, 3.0, atol=1e-13)
     assert np.allclose(eta, -2.0, atol=1e-13)
+    # one 2-vector is the constant field (a translation)
+    assert np.array_equal(decompose_field(sq, [1.0, -2.0]), decompose_field(sq, np.tile([1.0, -2.0], (4, 1))))
 
 
 def test_decompose_round_trip(rng):
