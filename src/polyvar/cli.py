@@ -82,12 +82,18 @@ def cmd_offset(args) -> dict[str, str]:
     t_values = [float(v) for v in args.t.split(",")]
     rows = []
     layers = [svg.SvgLayer(curve.points, closed=curve.closed, color=svg.PALETTE[0], markers=True)]
-    note = None
+    note = "arc offsets are not polygonal; lengths reported in the CSV only" if args.variant == "arc" else None
     for i, t in enumerate(t_values):
         predicted = offset_length(curve, t, args.variant)
+        # the segment and arc formulas hold only where no corner turns toward the offset
+        toward = np.flatnonzero(t * curve.turning_angles > 0)
+        if args.variant != "wedge" and toward.size:
+            rows.append((t, predicted, None, None, "corner_overlap"))
+            print(f"t={t:g}: corner {toward[0]} turns toward the offset; "
+                  f"the {args.variant} length formula does not hold", file=sys.stderr)
+            continue
         if args.variant == "arc":
             rows.append((t, predicted, None, None, "ok"))
-            note = "arc offsets are not polygonal; lengths reported in the CSV only"
             continue
         try:
             polygon = offset_polygon(curve, t, args.variant)

@@ -97,7 +97,7 @@ class DiscreteCurve:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array of vertices")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("vertex coordinates must be finite")
         n = len(pts)
         if (self.closed and n < 3) or (not self.closed and n < 2):
@@ -106,11 +106,11 @@ class DiscreteCurve:
             raise ValueError("sigma must be +1 or -1")
         # for finite doubles p_{k+1} - p_k == 0 exactly when p_{k+1} == p_k
         same = pts[1:] == pts[:-1]
-        zero = np.flatnonzero(same[:, 0] & same[:, 1]).tolist()
-        if self.closed and np.all(pts[0] == pts[-1]):
-            zero.append(n - 1)
-        if zero:
-            raise ZeroEdge(zero[0])
+        zero = same[:, 0] & same[:, 1]
+        if zero.any():
+            raise ZeroEdge(int(zero.argmax()))
+        if self.closed and pts[0, 0] == pts[-1, 0] and pts[0, 1] == pts[-1, 1]:
+            raise ZeroEdge(n - 1)
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "sigma", int(self.sigma))
 
@@ -160,7 +160,9 @@ class DiscreteCurve:
     def chords(self) -> np.ndarray:
         # p_{k+1} ends edge k and p_{k-1} starts edge k-1
         starts, ends = _at_edges(self, self.points)
-        return _frozen(_at_vertices(self, ends)[1] - _at_vertices(self, starts)[0])
+        if not self.closed:
+            ends = _at_vertices(self, ends)[1]
+        return _frozen(ends - _at_vertices(self, starts)[0])
 
     @cached_property
     def _snapped_angles(self):
@@ -315,13 +317,21 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
     """Signed area (1/2) sum <p_k, nu_k> l_k; sign depends on orientation and sigma."""
     if not curve.closed:
         raise OpenCurve("enclosed volume requires a closed curve")
-    return _signed_area(curve.points, curve.sigma)
+    return _signed_area(curve.points, curve.sigma, curve.edge_vectors)
 
 
-def _signed_area(points: np.ndarray, sigma: int) -> float:
-    """enclosed_volume of the closed polygon through points, which need not be a curve."""
-    re = rot90(np.concatenate([points[1:], points[:1]]) - points, sigma)
-    return 0.5 * float(np.sum(_dot(points, re)))
+def _signed_area(points: np.ndarray, sigma: int, edges: np.ndarray | None = None) -> float:
+    """enclosed_volume of the closed polygon through points, which need not be a curve.
+
+    (1/2) sum <p_k, R e_k> = -(sigma/2) sum (x_k e_k,y - y_k e_k,x), with the
+    edges e_k = p_{k+1} - p_k computed here unless given.
+    """
+    if edges is None:
+        edges = np.concatenate([points[1:], points[:1]]) - points
+    xe, ye = points[:, 0] * edges[:, 1], points[:, 1] * edges[:, 0]
+    # the difference taken in sigma's order is <p_k, R e_k> to the bit, zeros' signs included
+    cross = xe - ye if sigma < 0 else ye - xe
+    return 0.5 * float(cross.sum())
 
 
 def turning_number(curve: DiscreteCurve) -> int:

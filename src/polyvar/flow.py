@@ -64,10 +64,10 @@ class FlowTrajectory:
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray, floor_sq: float):
     """(field . gradVol) / |gradVol|^2 and gradVol; ZeroVolumeGradient if |gradVol|^2 <= floor_sq."""
     gv = volume_gradients(curve)
-    gv_norm_sq = float(np.sum(gv * gv))
+    gv_norm_sq = float((gv * gv).sum())
     if gv_norm_sq <= floor_sq:
         raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
-    return float(np.sum(field * gv)) / gv_norm_sq, gv
+    return float((field * gv).sum()) / gv_norm_sq, gv
 
 
 def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
@@ -92,7 +92,7 @@ def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.nda
     current = _signed_area(points, sigma)
     if current == 0.0 or not target / current > 0:
         raise ValueError("enclosed area degenerated during the step")
-    centroid = points.mean(axis=0)
+    centroid = points.sum(axis=0) / len(points)
     return centroid + np.sqrt(target / current) * (points - centroid)
 
 
@@ -118,7 +118,7 @@ def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | N
 
     if target_volume is None:
         target_volume = diagnostics["volume"]
-    g_norm_sq = float(np.sum(g * g))
+    g_norm_sq = float((g * g).sum())
     roundoff = 1e-14 * max(1.0, diagnostics["length"])
     h = config.step_size
     for _ in range(MAX_HALVINGS + 1):

@@ -132,6 +132,10 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     segment: L - t * sum 2 sin(theta_k/2)
     arc:     L - t * sum theta_k          (Minkowski / normal-cone boundary)
     wedge:   L - t * sum 2 tan(theta_k/2) (equals the Steiner per-edge sum)
+
+    The segment and arc formulas describe the offset only where no corner
+    turns toward it, t * theta_k <= 0 at every vertex; elsewhere they are
+    returned all the same (polyvar offset marks those rows corner_overlap).
     """
     _check_offset(curve, t, "offset lengths require a closed curve")
     if variant == "wedge":

@@ -20,6 +20,7 @@ from polyvar import (
     turning_angles,
     turning_number,
 )
+from polyvar.curves import _dot, _signed_area
 from polyvar.errors import (
     CuspPresent,
     CuspWarning,
@@ -400,3 +401,20 @@ def test_open_curve_per_edge_values(name):
         assert np.all(np.isfinite(values[1:-1]))
     else:
         assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("n", [3, 8, 4096])
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_signed_area_matches_rotated_form(rng, n, sigma):
+    """The area is (1/2) sum <p_k, R e_k> to the bit, with or without the curve's edges."""
+    def bits(x):
+        return np.float64(x).tobytes()  # tells -0.0 from 0.0
+
+    fold = make_curve([(0, 0), (1, 0), (2, 0), (1, 0)], sigma=sigma)  # zero area
+    curves = [fold] + [make_curve(s * rng.normal(size=(n, 2)), sigma=sigma) for s in (1e-8, 1.0, 1e8)]
+    for c in curves:
+        rotated = 0.5 * float(np.sum(_dot(c.points, rot90(c.edge_vectors, sigma))))
+        assert bits(enclosed_volume(c)) == bits(rotated)
+        assert bits(_signed_area(c.points, sigma)) == bits(rotated)
+    with pytest.raises(OpenCurve):
+        enclosed_volume(make_curve(curves[1].points, closed=False, sigma=sigma))

@@ -223,3 +223,30 @@ def test_lagrange_kappa_on_regular_polygons():
 def test_flow_rejects_open_curve():
     with pytest.raises(ValueError):
         run_flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
+
+
+def _perturbed_octagon(i, sigma=-1):
+    """Instance i of the benchmark's n = 8 flows (seed 0)."""
+    rng = np.random.default_rng([0, 8, i])
+    return make_curve(regular_polygon(8).points + 0.05 * rng.standard_normal((8, 2)) / 8, sigma=sigma)
+
+
+def test_run_flow_step_counts_pinned():
+    # any change to the arithmetic of a step moves these counts
+    runs = [run_flow(_perturbed_octagon(i), FlowConfig(step_size=0.2)) for i in range(5)]
+    assert [t.verdict for t in runs] == ["converged"] * 5
+    assert [t.steps_taken for t in runs] == [231, 255, 214, 258, 244]
+
+
+def test_run_flow_sigma_mirror():
+    """Flipping sigma negates the area and its gradient, and moves no vertex by a bit."""
+    for i in range(2):
+        down, up = (run_flow(_perturbed_octagon(i, sigma), FlowConfig(step_size=0.2)) for sigma in (-1, 1))
+        assert down.verdict == up.verdict == "converged"
+        assert down.steps_taken == up.steps_taken
+        assert down.kappa_estimate == -up.kappa_estimate
+        for a, b in zip(down.snapshots, up.snapshots, strict=True):
+            assert a.step == b.step
+            assert np.array_equal(a.curve.points, b.curve.points)
+            assert a.length == b.length and a.volume == -b.volume != 0
+            assert a.max_projected_gradient == b.max_projected_gradient

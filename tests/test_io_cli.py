@@ -193,8 +193,8 @@ def test_cli_cusp_curve_prints_no_warning(command, code, tmp_path, capsys):
         assert json.loads((tmp_path / "out.json").read_text())["cusp_vertices"] == [2]
     elif code:
         assert err.startswith("polyvar: error: vertex 2 is a cusp") and err.count("\n") == 1
-    else:
-        assert err == ""
+    else:  # the cusp turns toward the offset, which the segment and arc formulas do not describe
+        assert err == f"t=0.1: corner 2 turns toward the offset; the {command[-1]} length formula does not hold\n"
 
 
 EXIT_CODES = {
@@ -310,6 +310,30 @@ def test_cli_offset_flags_reversed_edges(tmp_path, capsys):
     lines = (tmp_path / "off.csv").read_text().strip().split("\n")
     assert [line.split(",")[-1] for line in lines[1:]] == ["edge_collapse", "ok"]
     assert capsys.readouterr().err.endswith("t=-5: offset collapses edge 0\n")
+
+
+@pytest.mark.parametrize("variant, t, statuses", [
+    ("segment", "-0.2,0.3", ["corner_overlap", "ok"]),
+    ("arc", "-1,-5,0.3", ["corner_overlap", "corner_overlap", "ok"]),
+    ("wedge", "-0.2,0.3", ["ok", "ok"]),
+], ids=["segment", "arc", "wedge"])
+def test_cli_offset_flags_corner_overlap(variant, t, statuses, tmp_path, capsys):
+    curve_path = str(tmp_path / "tri.json")
+    run_cli("generate", "--n", "3", "--m", "1", "--out", curve_path)
+    capsys.readouterr()
+    # every corner of the unit triangle turns by -2pi/3: t < 0 offsets it toward the corners
+    assert run_cli("offset", "--in", curve_path, f"--t={t}", "--variant", variant,
+                   "--out", str(tmp_path / "off")) == 0
+    rows = [line.split(",") for line in (tmp_path / "off.csv").read_text().strip().split("\n")[1:]]
+    assert [row[-1] for row in rows] == statuses
+    assert all(row[1] for row in rows)  # the predicted length is always written
+    overlaps = [row for row in rows if row[-1] == "corner_overlap"]
+    assert all(row[2] == row[3] == "" for row in overlaps)
+    err = capsys.readouterr().err
+    assert err == "".join(
+        f"t={float(row[0]):g}: corner 0 turns toward the offset; the {variant} length formula does not hold\n"
+        for row in overlaps
+    )
 
 
 def test_cli_offset_arc_lengths_only(tmp_path):
