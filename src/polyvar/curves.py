@@ -134,6 +134,10 @@ class DiscreteCurve:
 
     def diameter(self) -> float:
         """Bounding-box diagonal; the length scale used by tolerances."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
         xy = np.ascontiguousarray(self.points.T)  # reduce along the long axis
         span = xy.max(axis=1) - xy.min(axis=1)
         return float(np.hypot(span[0], span[1]))

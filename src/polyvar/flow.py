@@ -1,16 +1,26 @@
-"""Area-constrained steepest descent of length on closed discrete curves.
+"""Area-constrained descent of length on closed discrete curves, with momentum.
 
 Each step projects the length gradient onto the volume-preserving subspace
 (orthogonal complement of the area gradient in configuration space), moves
 the vertices, and restores the enclosed area exactly by a homothety about the
 vertex centroid (area is quadratic under scaling, so the correct factor is
-sqrt(target / current)).  Steps that collapse an edge or increase the length
-are retried with a halved step size.  At convergence the Lagrange multiplier
-is recovered by least squares and the limit is classified as an equilibrium.
+sqrt(target / current)).  The plain step is steepest descent: a trial that
+collapses an edge or does not decrease the length enough is retried with a
+halved step size.  run_flow adds momentum with adaptive restart (O'Donoghue
+and Candes, "Adaptive restart for accelerated gradient schemes", 2015): each
+step first tries x + k/(k+3) (x - x_prev) - h g with the step size h the
+plain step last accepted, under the same area homothety and the same length
+test; when that trial fails, k restarts at 0 and the step is the plain one.
+So the length falls at every step, the area is restored exactly, and the
+step count drops from about kappa to about sqrt(kappa), kappa the condition
+number of the length near its minimum.  At convergence the Lagrange
+multiplier is recovered by least squares and the limit is classified as an
+equilibrium.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -61,13 +71,22 @@ class FlowTrajectory:
     kappa_estimate: float | None = None
 
 
-def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray, floor_sq: float):
-    """(field . gradVol) / |gradVol|^2 and gradVol; ZeroVolumeGradient if |gradVol|^2 <= floor_sq."""
-    gv = volume_gradients(curve)
-    gv_norm_sq = float((gv * gv).sum())
-    if gv_norm_sq <= floor_sq:
+def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
+    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e and 2^e > diameter >= 2^(e-1).
+
+    Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
+    (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
+    overflow or underflow of |gradVol|^2 at the ends of the float range
+    (|gradVol_k| = |p_{k+1} - p_{k-1}| / 2 <= diameter / 2).
+    ZeroVolumeGradient if |gradVol| is at most 1e-14 of the curve's diameter.
+    """
+    diameter = curve.diameter()
+    e = math.frexp(diameter)[1]
+    u = np.ldexp(volume_gradients(curve), -e)
+    u_norm_sq = float((u * u).sum())
+    if not u_norm_sq > math.ldexp(1e-14 * diameter, -e) ** 2:
         raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
-    return float((field * gv).sum()) / gv_norm_sq, gv
+    return float((field * u).sum()) / u_norm_sq, u, e
 
 
 def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
@@ -77,14 +96,17 @@ def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
     round-off.
     """
     v = np.asarray(field, dtype=float)
-    c, gv = _along_volume_gradient(curve, v, (1e-14 * max(curve.diameter(), 1.0)) ** 2)
-    return v - c * gv
+    c, u, _ = _along_volume_gradient(curve, v)
+    return v - c * u
 
 
 def lagrange_kappa(curve: DiscreteCurve) -> float:
     """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
-    # kappa scales as 1/diameter, so a fixed floor would reject small curves; only 0 is rejected
-    return -_along_volume_gradient(curve, length_gradients(curve), 0.0)[0]
+    c, _, e = _along_volume_gradient(curve, length_gradients(curve))
+    try:
+        return -math.ldexp(c, -e)
+    except OverflowError:  # |kappa| ~ 1 / diameter, beyond the float range below about 1e-308
+        raise ZeroVolumeGradient("area gradient too small: kappa overflows") from None
 
 
 def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.ndarray:
@@ -96,14 +118,38 @@ def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.nda
     return centroid + np.sqrt(target / current) * (points - centroid)
 
 
-def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | None = None):
+def _accepted(curve: DiscreteCurve, trial: np.ndarray, target_volume: float, bound: float):
+    """The trial points as a curve with the target area, or None if they fail the length bound."""
+    try:
+        # a zero edge of the trial survives the homothety; non-finite points fail its area test
+        candidate = curve.with_points(_rescaled_to_volume(trial, target_volume, curve.sigma))
+    except (ZeroEdge, ValueError):
+        return None
+    return candidate if total_length(candidate) <= bound else None
+
+
+def flow_step(
+    curve: DiscreteCurve,
+    config: FlowConfig,
+    target_volume: float | None = None,
+    momentum: dict | None = None,
+):
     """One descent step; returns (new_curve, diagnostics dict).
 
-    The projected gradient is evaluated at the input curve; the step is
+    The projected gradient g is evaluated at the input curve; the step is
     backtracked (up to 20 halvings) if it produces a zero edge, flips the
-    enclosed area, or increases the length.  diagnostics carries the
-    pre-step gradient norm and the accepted step size (None if converged or
-    no acceptable step exists).
+    enclosed area, or does not decrease the length by a tenth of h |g|^2.
+    diagnostics carries the pre-step gradient norm and the accepted step
+    size (None if converged or no acceptable step exists).
+
+    momentum is the state run_flow threads from one step to the next, a dict
+    updated in place (start with {}): the previous iterate's "points", the
+    count "k" of steps since the last restart and the step size "h" the
+    backtracking last accepted.  With it, the step first tries
+    x + k/(k+3) (x - x_prev) - h g under the same area homothety and length
+    test; if that trial fails, momentum restarts: the step is the
+    backtracked one, and it is step k = 0 of the new sequence.  Without
+    momentum, only the backtracked step is taken.
     """
     g = project_volume_preserving(curve, length_gradients(curve))
     gradnorm = float(np.hypot(g[:, 0], g[:, 1]).max())
@@ -118,27 +164,33 @@ def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | N
 
     if target_volume is None:
         target_volume = diagnostics["volume"]
+    x, length = curve.points, diagnostics["length"]
     g_norm_sq = float((g * g).sum())
-    roundoff = 1e-14 * max(1.0, diagnostics["length"])
+    roundoff = 1e-14 * max(1.0, length)
+    # expected first-order decrease is h * |g|^2; demand a tenth of it,
+    # up to the round-off resolution of the length itself
+    if momentum:
+        k, h = momentum["k"], momentum["h"]
+        trial = x + (k / (k + 3)) * (x - momentum["points"]) - h * g
+        candidate = _accepted(curve, trial, target_volume, length - 0.1 * h * g_norm_sq + roundoff)
+        if candidate is not None:
+            momentum.update(points=x, k=k + 1)
+            diagnostics["step_size_used"] = h
+            return candidate, diagnostics
     h = config.step_size
     for _ in range(MAX_HALVINGS + 1):
-        try:
-            # a zero edge of the trial survives the homothety; non-finite points fail its area test
-            trial = curve.points - h * g
-            candidate = curve.with_points(_rescaled_to_volume(trial, target_volume, curve.sigma))
-            # expected first-order decrease is h * |g|^2; demand a tenth of it,
-            # up to the round-off resolution of the length itself
-            if total_length(candidate) <= diagnostics["length"] - 0.1 * h * g_norm_sq + roundoff:
-                diagnostics["step_size_used"] = h
-                return candidate, diagnostics
-        except (ZeroEdge, ValueError):
-            pass
+        candidate = _accepted(curve, x - h * g, target_volume, length - 0.1 * h * g_norm_sq + roundoff)
+        if candidate is not None:
+            if momentum is not None:  # a restart: this step is k = 0 of the new sequence
+                momentum.update(points=x, k=1, h=h)
+            diagnostics["step_size_used"] = h
+            return candidate, diagnostics
         h *= 0.5
     return curve, diagnostics
 
 
 def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTrajectory:
-    """Iterate flow_step until the projected gradient falls below tolerance.
+    """Iterate flow_step, with momentum, until the projected gradient falls below tolerance.
 
     Convergence hands the limit to classify_equilibrium with the recovered
     Lagrange multiplier; a step with no acceptable size degenerates the run.
@@ -147,11 +199,11 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
         raise ValueError("the constrained flow is defined for closed curves")
     target_volume = enclosed_volume(curve)
     snapshots: list[FlowSnapshot] = []
-    current, verdict = curve, None
+    current, verdict, momentum = curve, None, {}
     # an overflowing trial step fails the area test; its numpy warnings would only reach stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.max_steps + 1):
-            new_curve, diag = flow_step(current, config, target_volume=target_volume)
+            new_curve, diag = flow_step(current, config, target_volume=target_volume, momentum=momentum)
             if diag["max_projected_gradient"] < config.grad_tolerance:
                 verdict = "converged"
             elif diag["step_size_used"] is None:

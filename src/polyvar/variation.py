@@ -11,6 +11,7 @@ law: with c = 0 the edge midpoints are tangent to the circle of radius 1/|kappa|
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,31 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     return curve.edge_normals + 0.5 * kappa * (p_next + p)
 
 
+@lru_cache(maxsize=256)
+def _residual_conditioning(n: int, m: int) -> float:
+    """Smallest nonzero singular value of the residual's Jacobian at the regular (n, m) polygon of radius 1.
+
+    R A_k is the gradient of L + kappa Vol, so the singular values are the
+    absolute eigenvalues of its Hessian.  In each vertex's (radial,
+    tangential) frame the Hessian is circulant; at phase theta = 2 pi j / n,
+    with s = sin(pi m / n) and c = cos(pi m / n), its 2 x 2 block is
+    [[2 c^2 sin^2(theta/2) / s - 2 s cos(theta), i s^2 sin(theta) / c],
+     [-i s^2 sin(theta) / c, 2 s sin^2(theta/2)]].
+    The three rigid motions (j = 0 and j = +-m) are its only null modes.  The
+    value falls as n^-3 for convex polygons: 0.224, 0.0297, 0.00377 and
+    0.000473 at n = 8, 16, 32 and 64, from the near-reparametrisations.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    s, c = np.sin(np.pi * m / n), np.cos(np.pi * m / n)
+    half_sq = np.sin(0.5 * theta) ** 2
+    diag_r = 2.0 * c * c * half_sq / s - 2.0 * s * np.cos(theta)
+    diag_t = 2.0 * s * half_sq
+    mean = 0.5 * (diag_r + diag_t)
+    radius = np.hypot(0.5 * (diag_r - diag_t), s * s * np.sin(theta) / c)
+    singular = np.abs(np.concatenate([mean - radius, mean + radius]))
+    return float(np.partition(singular, 3)[3])
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     is_equilibrium: bool
@@ -123,10 +149,16 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     winding = None if curve.cusp_mask.any() else turning_number(curve)
 
     if is_equilibrium:
-        # the residual <-> uniformity equivalence carries O(1) geometric
-        # constants; allow them a factor of 10 before calling it a bug
-        slack = 10.0 * tol
-        if np.max(np.abs(l - l0)) > slack * l0 or np.max(np.abs(theta - theta0)) > slack:
+        # a residual of at most tol * scale leaves the vertices within
+        # dp = tol * scale * a / sigma of the regular (n, m) polygon of radius
+        # a = l0 / (2 sin(pi m / n)), sigma its conditioning at radius 1; dp
+        # moves an edge length by at most 2 dp and a turning angle by 4 dp / l0
+        m = round(abs(theta0) * curve.n / (2.0 * np.pi))
+        if not 0 < 2 * m < curve.n:
+            raise InternalInconsistency("residual passed but no regular polygon has this turning")
+        sin_half = np.sin(np.pi * m / curve.n)
+        slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
+        if np.max(np.abs(l - l0)) > 0.5 * slack * l0 or np.max(np.abs(theta - theta0)) > slack:
             raise InternalInconsistency(
                 "residual passed but the curve is not a regular polygon"
             )

@@ -50,13 +50,24 @@ def test_project_zero_volume_gradient():
         project_volume_preserving(flat, np.ones((4, 2)))
     with pytest.raises(ZeroVolumeGradient):
         lagrange_kappa(flat)
+    # opened by 1e-17 of its diameter, every chord is still below the relative floor
+    nearly_flat = make_curve([(0, 0), (1, 0), (0, 1e-17), (1, 1e-17)])
+    with pytest.raises(ZeroVolumeGradient):
+        project_volume_preserving(nearly_flat, np.ones((4, 2)))
+    tiny = make_curve([(0, 0), (1e-308, 0), (1e-308, 1e-308), (0, 1e-308)])  # kappa = -2e308
+    with pytest.raises(ZeroVolumeGradient, match="overflows"):
+        lagrange_kappa(tiny)
 
 
-@pytest.mark.parametrize("side", [1e-15, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("side", [1e-300, 1e-15, 1e-6, 1.0, 1e6, 1e200])
 def test_lagrange_kappa_square_any_scale(side):
     # A_k = (nu_k - nu_{k-1}) + (kappa/2) chord_k vanishes: sqrt(2) = (kappa/2) sqrt(2) side
     square = make_curve([(0, 0), (side, 0), (side, side), (0, side)])
     assert lagrange_kappa(square) == pytest.approx(-2.0 / side, rel=1e-14)
+    # |gradVol|^2 underflows at 1e-300 and overflows at 1e200; the projection does not
+    v = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    unit = make_curve([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert np.allclose(project_volume_preserving(square, v), project_volume_preserving(unit, v), atol=1e-15)
 
 
 def test_flow_step_fixed_at_equilibrium(sq, pent52):
@@ -232,10 +243,90 @@ def _perturbed_octagon(i, sigma=-1):
 
 
 def test_run_flow_step_counts_pinned():
-    # any change to the arithmetic of a step moves these counts
+    # any change to the arithmetic of a step or to the momentum rule moves these counts
     runs = [run_flow(_perturbed_octagon(i), FlowConfig(step_size=0.2)) for i in range(5)]
     assert [t.verdict for t in runs] == ["converged"] * 5
-    assert [t.steps_taken for t in runs] == [231, 255, 214, 258, 244]
+    assert [t.steps_taken for t in runs] == [67, 80, 50, 63, 65]
+
+
+def test_plain_flow_step_counts_pinned():
+    """flow_step without momentum is plain backtracked steepest descent, the restart step of run_flow."""
+    config = FlowConfig(step_size=0.2)
+    counts = []
+    for i in range(5):
+        curve = _perturbed_octagon(i)
+        target = enclosed_volume(curve)
+        for step in range(1000):
+            curve, diag = flow_step(curve, config, target_volume=target)
+            if diag["step_size_used"] is None:
+                break
+        assert diag["max_projected_gradient"] < config.grad_tolerance
+        counts.append(step)
+    assert counts == [231, 255, 214, 258, 244]
+
+
+def test_flow_step_momentum_state():
+    """Each step either extends the momentum count or restarts it with exactly the plain step."""
+    curve, config = _perturbed_octagon(0), FlowConfig(step_size=0.2)
+    target = enclosed_volume(curve)
+    momentum, kinds = {}, []
+    for _ in range(10):
+        plain, plain_diag = flow_step(curve, config, target_volume=target)
+        k = momentum.get("k")
+        new, diag = flow_step(curve, config, target_volume=target, momentum=momentum)
+        assert momentum["points"] is curve.points
+        assert total_length(new) < diag["length"]
+        if momentum["k"] == 1:  # a restart, the first step included
+            assert np.array_equal(new.points, plain.points) and diag == plain_diag
+            assert momentum["h"] == diag["step_size_used"]
+            kinds.append("restart")
+        else:
+            assert momentum["k"] == k + 1 and diag["step_size_used"] == momentum["h"]
+            kinds.append("momentum")
+        curve = new
+    assert kinds[:3] == ["restart", "restart", "momentum"] and "momentum" in kinds[3:]
+
+
+def test_run_flow_large_step_converges():
+    """h = 0.4 on an octagon: plain descent cycles for 100,000 steps; the restart does not."""
+    rng = np.random.default_rng(1)
+    curve = make_curve(regular_polygon(8).points + 0.05 * rng.standard_normal((8, 2)) / 8)
+    trajectory = run_flow(curve, FlowConfig(step_size=0.4, max_steps=2000))
+    assert trajectory.verdict == "converged"
+    assert trajectory.report.is_equilibrium
+
+
+def _assert_regular_limit(trajectory, n):
+    """The bounds of acceptance criterion 9 on a converged flow."""
+    assert trajectory.verdict == "converged"
+    assert trajectory.report.is_equilibrium
+    a_fit = trajectory.report.l0 / (2 * np.sin(np.pi / n))
+    assert abs(trajectory.kappa_estimate + 1 / (a_fit * np.cos(np.pi / n))) < 1e-4
+
+
+@pytest.mark.parametrize("n, seed, step_size", [(48, 0, 0.05), (64, [0, 64, 0], 0.2)])
+def test_run_flow_classifies_large_n(n, seed, step_size):
+    """The converged edge spread exceeds a fixed 10 tol at n = 48 and 64, but not the conditioning's slack.
+
+    n = 64 with seed [0, 64, 0] is a benchmark instance.
+    """
+    rng = np.random.default_rng(seed)
+    curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
+    _assert_regular_limit(run_flow(curve, FlowConfig(step_size=step_size, max_steps=20000)), n)
+
+
+def test_projection_scaled_bit_for_bit(rng):
+    """The power-of-two scaling of gradVol changes no bit of the projection or of kappa."""
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        scale = 10.0 ** rng.uniform(-12, 12)
+        curve = make_curve(random_star_polygon(rng, n).points * scale, sigma=int(rng.choice([-1, 1])))
+        v = rng.normal(size=(n, 2))
+        gv = volume_gradients(curve)
+        expected = v - float((v * gv).sum()) / float((gv * gv).sum()) * gv
+        assert project_volume_preserving(curve, v).tobytes() == expected.tobytes()
+        g = length_gradients(curve)
+        assert lagrange_kappa(curve) == -(float((g * gv).sum()) / float((gv * gv).sum()))
 
 
 def test_run_flow_sigma_mirror():

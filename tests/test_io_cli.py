@@ -1,3 +1,4 @@
+import contextlib
 import json
 import warnings
 
@@ -287,6 +288,38 @@ def test_cli_flow_overflowing_step_degenerates_quietly(tmp_path, capsys):
         assert run_cli("flow", "--in", str(path), "--step", "1e200", "--out", str(tmp_path / "f")) == 0
     err = capsys.readouterr().err
     assert err.startswith("degenerated:") and "Warning" not in err
+
+
+def _square_file(tmp_path, side):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"version": 1, "closed": True, "sigma": -1,
+                                "points": [[0, 0], [side, 0], [side, side], [0, side]]}))
+    return str(path)
+
+
+def _area_overflow(side):
+    """The area 1e400 of a square of side 1e200 overflows with a numpy warning.
+
+    pyproject.toml turns every other RuntimeWarning into a test failure.
+    """
+    return pytest.warns(RuntimeWarning, match="overflow") if side > 1e100 else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("side", [1e-300, 1e200])
+def test_cli_square_at_float_range_ends(side, tmp_path, capsys):
+    # |gradVol|^2 underflowed to 0 (a false ZeroVolumeGradient), or overflowed (a false
+    # KappaZero from analyze, and an OverflowError traceback from flow in the floor's ** 2)
+    path = _square_file(tmp_path, side)
+    with _area_overflow(side):
+        assert run_cli("analyze", "--in", path, "--out", str(tmp_path / "a")) == 0
+    block = json.loads((tmp_path / "a.json").read_text())["equilibrium"]
+    assert block["is_equilibrium"] is True
+    assert block["kappa"] == pytest.approx(-2.0 / side, rel=1e-14)
+    with _area_overflow(side):
+        assert run_cli("flow", "--in", path, "--out", str(tmp_path / "f")) == 0
+    err = capsys.readouterr().err
+    assert f"converged after 0 steps: equilibrium=yes kappa={-2.0 / side:g}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_offset_flags_collapse_rows(tmp_path, capsys):

@@ -4,8 +4,10 @@ import pytest
 from polyvar import (
     classify_equilibrium,
     conservation_vectors,
+    edge_lengths,
     equilibrium_residual,
     first_variation,
+    lagrange_kappa,
     length_gradient,
     length_gradients,
     make_curve,
@@ -14,9 +16,11 @@ from polyvar import (
     volume_gradient,
     volume_gradients,
 )
-from polyvar.errors import KappaZero, OpenCurve
+from polyvar import variation
+from polyvar.errors import InternalInconsistency, KappaZero, OpenCurve
 from polyvar.flow import project_volume_preserving
 from polyvar.stability import regular_polygon_kappa, second_variation
+from polyvar.variation import _residual_conditioning
 
 from helpers import brute_length, central_gradient, oracle_volume, random_star_polygon
 
@@ -199,6 +203,76 @@ def test_classify_equilibrium_pentagram(pent52):
 def test_classify_equilibrium_kappa_zero(sq):
     with pytest.raises(KappaZero):
         classify_equilibrium(sq, 0.0)
+
+
+def _residual_svd(n, m):
+    """SVD of the central-difference Jacobian of the residual at the regular (n, m) polygon of radius 1."""
+    poly = regular_polygon(n, m, 1.0)
+    kappa = regular_polygon_kappa(n, m, 1.0)
+    x, h = poly.points.ravel(), 1e-6
+    columns = []
+    for i in range(2 * n):
+        dx = np.zeros(2 * n)
+        dx[i] = h
+        plus, minus = (equilibrium_residual(make_curve((x + d).reshape(n, 2)), kappa) for d in (dx, -dx))
+        columns.append((plus - minus).ravel() / (2 * h))
+    _, singular, vt = np.linalg.svd(np.array(columns).T)
+    return poly, singular[::-1], vt[::-1]
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (8, 1), (16, 1), (32, 1), (5, 2), (7, 3), (12, 5)])
+def test_residual_conditioning_closed_form(n, m):
+    """The per-harmonic closed form against the singular values of a central-difference Jacobian."""
+    singular = _residual_svd(n, m)[1]
+    assert np.all(singular[:3] < 1e-8)  # the rigid motions
+    assert _residual_conditioning(n, m) == pytest.approx(singular[3], rel=1e-6)
+
+
+def test_residual_conditioning_falls_as_n_cubed():
+    sigma = [_residual_conditioning(n, 1) for n in (8, 16, 32, 64)]
+    assert sigma == pytest.approx([0.224171, 0.0297007, 0.00376674, 0.000472549], rel=1e-5)
+
+
+@pytest.mark.parametrize("n, least", [(8, 0.5), (16, 0.25)])
+def test_classify_slack_is_tight(n, least):
+    """Along the slowest mode a just-passing residual spreads the edges by a fair share of the slack."""
+    poly, singular, modes = _residual_svd(n, 1)
+    curve = make_curve(poly.points + 1e-4 * modes[3].reshape(n, 2) / np.abs(modes[3]).max())
+    kappa = lagrange_kappa(curve)
+    residual = equilibrium_residual(curve, kappa)
+    tol = np.hypot(residual[:, 0], residual[:, 1]).max() / max(1.0, abs(kappa) * curve.diameter()) * (1 + 1e-6)
+    report = classify_equilibrium(curve, kappa, tol=tol)  # no InternalInconsistency: within the slack
+    assert report.is_equilibrium
+    lengths = edge_lengths(curve)
+    half_slack = tol * max(1.0, abs(kappa) * curve.diameter()) / (np.sin(np.pi / n) * singular[3])
+    assert least < np.abs(lengths - lengths.mean()).max() / (half_slack * lengths.mean()) <= 1.0
+
+
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_classify_slack_bounds_the_edge_spread(monkeypatch, factor, raises):
+    """With the residual forced to 0, the edge spread may reach the derived slack and no more."""
+    n, tol = 8, 1e-6
+    poly, singular, modes = _residual_svd(n, 1)
+    mode = modes[3].reshape(n, 2) / np.abs(modes[3]).max()
+    probe = edge_lengths(make_curve(poly.points + 1e-4 * mode))
+    spread_per_amp = np.abs(probe - probe.mean()).max() / probe.mean() / 1e-4
+    kappa = regular_polygon_kappa(n, 1, 1.0)
+    half_slack = tol * max(1.0, abs(kappa) * poly.diameter()) / (np.sin(np.pi / n) * singular[3])
+    curve = make_curve(poly.points + factor * half_slack / spread_per_amp * mode)
+    monkeypatch.setattr(variation, "equilibrium_residual", lambda curve, kappa: np.zeros((curve.n, 2)))
+    if raises:
+        with pytest.raises(InternalInconsistency, match="not a regular polygon"):
+            classify_equilibrium(curve, kappa, tol=tol)
+    else:
+        assert classify_equilibrium(curve, kappa, tol=tol).is_equilibrium
+
+
+def test_classify_rejects_turning_of_no_regular_polygon():
+    # a figure eight has total turning 0; only a tolerance this loose lets its residual pass
+    eight = make_curve([(0, 0), (1, 1), (1, 0), (0, 1)])
+    assert abs(turning_angles(eight).sum()) < 1e-12
+    with pytest.raises(InternalInconsistency, match="turning"):
+        classify_equilibrium(eight, -1.0, tol=1e3)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
