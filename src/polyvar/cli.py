@@ -33,11 +33,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write(path: str, text: str):
-    with open(path, "w", newline="\n") as f:
-        f.write(text)
-
-
 def _parse_int_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -135,11 +130,7 @@ def cmd_stability(args) -> dict[str, str]:
 
 def cmd_flow(args) -> dict[str, str]:
     curve = pio.read_curve(args.input)
-    config = FlowConfig(
-        step_size=args.step,
-        max_steps=args.max_steps,
-        grad_tolerance=args.tol,
-    )
+    config = FlowConfig(step_size=args.step, max_steps=args.max_steps, grad_tolerance=args.tol)
     trajectory = run_flow(curve, config)
     layers = []
     count = len(trajectory.snapshots)
@@ -217,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="area-constrained length descent")
     p.add_argument("--in", dest="input", required=True, help="input curve file")
-    p.add_argument("--step", type=float, default=0.1, help="base step size")
-    p.add_argument("--max-steps", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance")
+    p.add_argument("--step", type=float, default=FlowConfig.step_size, help="base step size")
+    p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
+    p.add_argument("--tol", type=float, default=FlowConfig.grad_tolerance, help="gradient tolerance")
     p.add_argument("--out", help="output prefix (.csv and .svg appended)")
     p.add_argument("--stdout", action="store_true", help="write the trajectory CSV to stdout")
     p.set_defaults(func=cmd_flow)
@@ -236,7 +227,7 @@ def main(argv=None) -> int:
             outputs = args.func(args)
         if args.out:
             for suffix, text in outputs.items():
-                _write(args.out + suffix, text)
+                pio.write_text(args.out + suffix, text)
         if args.stdout:
             sys.stdout.write(next(iter(outputs.values())))
     except CurveError as exc:

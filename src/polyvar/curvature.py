@@ -94,7 +94,7 @@ def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
 def vertex_curvatures(curve: DiscreteCurve, scheme) -> np.ndarray:
     """Signed curvature kappa(p_k) = 2 sin(theta_k/2) / L_k per vertex."""
     theta = curve.turning_angles
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return 2.0 * np.sin(0.5 * theta) / line_elements(curve, scheme)
 
 

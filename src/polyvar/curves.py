@@ -202,7 +202,7 @@ class DiscreteCurve:
     @cached_property
     def edge_curvatures(self) -> np.ndarray:
         th0, th1 = _edge_endpoint_angles(self)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             return _frozen((np.tan(0.5 * th0) + np.tan(0.5 * th1)) / self.edge_lengths)
 
 

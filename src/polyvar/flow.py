@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import DiscreteCurve, _signed_area, enclosed_volume, total_length
-from .errors import ZeroEdge, ZeroVolumeGradient
+from .errors import OpenCurve, ZeroEdge, ZeroVolumeGradient
 from .variation import EquilibriumReport, classify_equilibrium, length_gradients, volume_gradients
 
 MAX_HALVINGS = 20
@@ -109,23 +109,32 @@ def lagrange_kappa(curve: DiscreteCurve) -> float:
         raise ZeroVolumeGradient("area gradient too small: kappa overflows") from None
 
 
-def _rescaled_to_volume(points: np.ndarray, target: float, sigma: int) -> np.ndarray:
-    """Homothety about the centroid of the trial points restoring the enclosed area."""
-    current = _signed_area(points, sigma)
-    if current == 0.0 or not target / current > 0:
-        raise ValueError("enclosed area degenerated during the step")
-    centroid = points.sum(axis=0) / len(points)
-    return centroid + np.sqrt(target / current) * (points - centroid)
-
-
 def _accepted(curve: DiscreteCurve, trial: np.ndarray, target_volume: float, bound: float):
-    """The trial points as a curve with the target area, or None if they fail the length bound."""
-    try:
-        # a zero edge of the trial survives the homothety; non-finite points fail its area test
-        candidate = curve.with_points(_rescaled_to_volume(trial, target_volume, curve.sigma))
+    """The trial points, rescaled about their centroid to the target area, as a curve.
+
+    None if the trial's area is zero, of the wrong sign or not finite, if an
+    edge vanishes, or if the length exceeds the bound.
+    """
+    current = _signed_area(trial, curve.sigma)
+    if current == 0.0 or not target_volume / current > 0:
+        return None
+    centroid = trial.sum(axis=0) / len(trial)
+    try:  # a zero edge of the trial survives the homothety, and the homothety may overflow
+        candidate = curve.with_points(centroid + np.sqrt(target_volume / current) * (trial - centroid))
     except (ZeroEdge, ValueError):
         return None
     return candidate if total_length(candidate) <= bound else None
+
+
+def _trials(x: np.ndarray, g: np.ndarray, config: FlowConfig, momentum: dict | None):
+    """(trial points, h, momentum count after acceptance), in the order flow_step tries them."""
+    if momentum:
+        k, h = momentum["k"], momentum["h"]
+        yield x + (k / (k + 3)) * (x - momentum["points"]) - h * g, h, k + 1
+    h = config.step_size
+    for _ in range(MAX_HALVINGS + 1):
+        yield x - h * g, h, 1  # a restart: this step is k = 0 of the new sequence
+        h *= 0.5
 
 
 def flow_step(
@@ -169,23 +178,13 @@ def flow_step(
     roundoff = 1e-14 * max(1.0, length)
     # expected first-order decrease is h * |g|^2; demand a tenth of it,
     # up to the round-off resolution of the length itself
-    if momentum:
-        k, h = momentum["k"], momentum["h"]
-        trial = x + (k / (k + 3)) * (x - momentum["points"]) - h * g
+    for trial, h, k in _trials(x, g, config, momentum):
         candidate = _accepted(curve, trial, target_volume, length - 0.1 * h * g_norm_sq + roundoff)
         if candidate is not None:
-            momentum.update(points=x, k=k + 1)
+            if momentum is not None:
+                momentum.update(points=x, k=k, h=h)
             diagnostics["step_size_used"] = h
             return candidate, diagnostics
-    h = config.step_size
-    for _ in range(MAX_HALVINGS + 1):
-        candidate = _accepted(curve, x - h * g, target_volume, length - 0.1 * h * g_norm_sq + roundoff)
-        if candidate is not None:
-            if momentum is not None:  # a restart: this step is k = 0 of the new sequence
-                momentum.update(points=x, k=1, h=h)
-            diagnostics["step_size_used"] = h
-            return candidate, diagnostics
-        h *= 0.5
     return curve, diagnostics
 
 
@@ -196,21 +195,16 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
     Lagrange multiplier; a step with no acceptable size degenerates the run.
     """
     if not curve.closed:
-        raise ValueError("the constrained flow is defined for closed curves")
+        raise OpenCurve("the constrained flow is defined for closed curves")
     target_volume = enclosed_volume(curve)
     snapshots: list[FlowSnapshot] = []
-    current, verdict, momentum = curve, None, {}
+    current, momentum = curve, {}
     # an overflowing trial step fails the area test; its numpy warnings would only reach stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.max_steps + 1):
             new_curve, diag = flow_step(current, config, target_volume=target_volume, momentum=momentum)
-            if diag["max_projected_gradient"] < config.grad_tolerance:
-                verdict = "converged"
-            elif diag["step_size_used"] is None:
-                verdict = "degenerated"
-            elif step == config.max_steps:
-                verdict = "max_steps"
-            if verdict or step % config.record_every == 0:
+            done = diag["step_size_used"] is None or step == config.max_steps  # None: converged or degenerated
+            if done or step % config.record_every == 0:
                 snapshots.append(
                     FlowSnapshot(
                         step=step,
@@ -221,16 +215,16 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
                         max_projected_gradient=diag["max_projected_gradient"],
                     )
                 )
-            if verdict:
+            if done:
                 break
             current = new_curve
 
-    trajectory = FlowTrajectory(snapshots=snapshots, verdict=verdict, steps_taken=step)
-    if verdict == "converged":
+    verdict, report, reason, kappa = "max_steps", None, None, None
+    if diag["max_projected_gradient"] < config.grad_tolerance:
+        verdict = "converged"
         kappa = lagrange_kappa(current)
         report = classify_equilibrium(current, kappa, tol=CLASSIFY_TOLERANCE)
-        trajectory = replace(trajectory, report=report, kappa_estimate=kappa)
-    elif verdict == "degenerated":
+    elif diag["step_size_used"] is None:
+        verdict = "degenerated"
         reason = f"no acceptable step at step {step} (gradient {diag['max_projected_gradient']:.3e})"
-        trajectory = replace(trajectory, reason=reason)
-    return trajectory
+    return FlowTrajectory(snapshots, verdict, step, report, reason, kappa)

@@ -6,7 +6,8 @@ normal-sign convention travel with the points instead of being implied:
     {"version": 1, "closed": true, "sigma": -1, "points": [[x, y], ...]}
 
 All numeric output is formatted at 17 significant digits, which round-trips
-double precision exactly and keeps repeated runs byte-identical.
+double precision exactly and keeps repeated runs byte-identical.  A number
+that is not finite is written as an empty CSV cell or a JSON null.
 """
 
 from __future__ import annotations
@@ -72,9 +73,14 @@ def curve_from_json(text: str) -> DiscreteCurve:
     return DiscreteCurve(np.array(points, dtype=float), closed=doc["closed"], sigma=doc["sigma"])
 
 
-def write_curve(curve: DiscreteCurve, path) -> None:
+def write_text(path, text: str) -> None:
+    """Write text with "\n" line ends on every platform, so the bytes do not depend on it."""
     with open(path, "w", newline="\n") as f:
-        f.write(curve_to_json(curve))
+        f.write(text)
+
+
+def write_curve(curve: DiscreteCurve, path) -> None:
+    write_text(path, curve_to_json(curve))
 
 
 def read_curve(path) -> DiscreteCurve:
@@ -82,10 +88,16 @@ def read_curve(path) -> DiscreteCurve:
         return curve_from_json(f.read())
 
 
+def _number(value) -> float | None:
+    """value as a float; None where it is None or not finite: an empty CSV cell, a JSON null."""
+    return None if value is None or not np.isfinite(value) else float(value)
+
+
 def _cell(value) -> str:
     if isinstance(value, (str, int, np.integer)):
         return str(value)
-    return "" if value is None or not np.isfinite(value) else fmt17(value)
+    number = _number(value)
+    return "" if number is None else fmt17(number)
 
 
 def csv_table(header, rows) -> str:
@@ -119,15 +131,15 @@ def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
 
 def equilibrium_to_dict(report: EquilibriumReport, source: str) -> dict:
     return {
-        "kappa": float(report.kappa),
+        "kappa": _number(report.kappa),
         "kappa_source": source,
         "is_equilibrium": bool(report.is_equilibrium),
-        "max_residual": float(report.max_residual),
-        "l0": float(report.l0),
-        "theta0": float(report.theta0),
+        "max_residual": _number(report.max_residual),
+        "l0": _number(report.l0),
+        "theta0": _number(report.theta0),
         "winding": report.winding,
         "sigma": int(report.sigma),
-        "tolerance": float(report.tolerance_used),
+        "tolerance": _number(report.tolerance_used),
     }
 
 
@@ -137,11 +149,11 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
         "n": curve.n,
         "closed": bool(curve.closed),
         "sigma": int(curve.sigma),
-        "total_length": float(total_length(curve)),
+        "total_length": _number(total_length(curve)),
         "cusp_vertices": [int(k) for k in cusp_vertices(curve)],
     }
     if curve.closed:
-        doc["enclosed_volume"] = float(enclosed_volume(curve))
+        doc["enclosed_volume"] = _number(enclosed_volume(curve))
         try:
             doc["turning_number"] = turning_number(curve)
         except CuspPresent:

@@ -168,7 +168,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
         doubled[0::2] = pts + t * nu
         doubled[1::2] = nxt + t * nu
         # straight vertices (theta = 0) duplicate their corner point; drop them
-        dedupe_tol = 1e-14 * max(curve.diameter(), 1.0)
+        dedupe_tol = 1e-14 * curve.diameter()
         gaps = np.hypot(*(doubled - np.roll(doubled, 1, axis=0)).T)
         keep = gaps > dedupe_tol
         return DiscreteCurve(doubled[keep], closed=True, sigma=curve.sigma)

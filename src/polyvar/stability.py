@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, rot90
-from .errors import CuspVertex, MeanNotZero, NotEquilibrium, OpenCurve
-from .offsets import vertex_normals
+from .errors import MeanNotZero, NotEquilibrium, OpenCurve
+from .offsets import _require_no_cusp, vertex_normals, vertex_tangents
 from .variation import _check_field, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
@@ -68,11 +68,10 @@ class NormalTangentField(NamedTuple):
 
 
 def _vertex_frame(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
-    """(N_k, T_k) with T_k = -R N_k; NaN rows at open ends, CuspVertex at a cusp."""
+    """(N_k, T_k); NaN rows at open ends, CuspVertex at a cusp."""
     N = vertex_normals(curve)  # first, so that a cusp curve warns as other readers do
-    if curve.cusp_mask.any():
-        raise CuspVertex(int(np.flatnonzero(curve.cusp_mask)[0]))
-    return N, -rot90(N, curve.sigma)
+    _require_no_cusp(curve)
+    return N, vertex_tangents(curve)
 
 
 def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+WIDTH = 640  # of the picture in user units; its height follows the viewBox's aspect ratio
+
 PALETTE = (
     "#000000",
     "#1f77b4",
@@ -34,7 +36,7 @@ class SvgLayer:
         self.opacity = opacity
 
 
-def render(layers, width=640, comment=None) -> str:
+def render(layers, comment=None) -> str:
     if not layers:
         raise ValueError("nothing to draw")
     xy = np.hstack([layer.points.T for layer in layers])  # (2, N): reduce along the long axis
@@ -46,13 +48,13 @@ def render(layers, width=640, comment=None) -> str:
     hi = hi + pad
     w, h = hi - lo
     diag = float(np.hypot(w, h))
-    height = width * h / w
+    height = WIDTH * h / w
     stroke = 0.004 * diag
     marker_r = 0.01 * diag
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(width)}" height="{_num(height)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(WIDTH)}" height="{_num(height)}" '
         f'viewBox="{_num(lo[0])} {_num(lo[1])} {_num(w)} {_num(h)}">',
     ]
     if comment:

@@ -20,7 +20,7 @@ from polyvar import (
     turning_angles,
     volume_gradients,
 )
-from polyvar.errors import ZeroVolumeGradient
+from polyvar.errors import OpenCurve, ZeroVolumeGradient
 
 from helpers import random_star_polygon
 
@@ -232,7 +232,7 @@ def test_lagrange_kappa_on_regular_polygons():
 
 
 def test_flow_rejects_open_curve():
-    with pytest.raises(ValueError):
+    with pytest.raises(OpenCurve):
         run_flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
 
 

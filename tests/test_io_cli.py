@@ -322,6 +322,28 @@ def test_cli_square_at_float_range_ends(side, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_square_below_float_range_fails_cleanly(tmp_path, capsys):
+    # at side 1e-308 the curvatures overflow to inf (empty cells) and kappa overflows
+    path = _square_file(tmp_path, 1e-308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning that reaches the CLI fails the call
+        assert run_cli("analyze", "--in", path, "--out", str(tmp_path / "a")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("polyvar: error:") and err.count("\n") == 1
+
+
+def test_cli_analyze_report_is_strict_json(tmp_path):
+    # the area 1e400 of a square of side 1e200 is not a JSON number; the report writes null
+    with _area_overflow(1e200):
+        assert run_cli("analyze", "--in", _square_file(tmp_path, 1e200), "--out", str(tmp_path / "a")) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "a.json").read_text(), parse_constant=reject)
+    assert doc["enclosed_volume"] is None and doc["total_length"] == 4e200
+
+
 def test_cli_offset_flags_collapse_rows(tmp_path, capsys):
     curve_path = str(tmp_path / "sq.json")
     run_cli("generate", "--n", "4", "--m", "1", "--out", curve_path)

@@ -255,6 +255,15 @@ def test_offset_polygon_segment_doubles_vertices(sq):
     assert total_length(off) == pytest.approx(offset_length(sq, 0.5, "segment"), abs=1e-13)
 
 
+@pytest.mark.parametrize("side", [1.0, 1e-20, 1e-300])
+def test_offset_polygon_segment_at_any_scale(side):
+    # a dedupe floor of 1e-14 * max(diameter, 1) dropped every vertex of a curve below about 1e-14
+    square = make_curve(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * side)
+    off = offset_polygon(square, 0.5 * side, "segment")
+    assert off.n == 8
+    assert total_length(off) == pytest.approx(offset_length(square, 0.5 * side, "segment"), rel=1e-14)
+
+
 def test_offset_polygon_segment_drops_straight_corners():
     # a hexagon with two collinear vertices: those corners add no chord
     pts = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1.5), (0, 1)]
