@@ -21,9 +21,9 @@ from . import io as pio
 from . import svg
 from .curvature import SCHEMES
 from .curves import regular_polygon, total_length
-from .errors import CurveError, CuspWarning, EdgeCollapse
+from .errors import CornerOverlap, CurveError, CuspWarning, EdgeCollapse
 from .flow import FlowConfig, lagrange_kappa, run_flow
-from .offsets import OFFSET_VARIANTS, offset_length, offset_polygon
+from .offsets import OFFSET_VARIANTS, _require_corners_away, offset_length, offset_polygon
 from .stability import certificate_coefficient, jacobi_spectrum
 from .variation import classify_equilibrium
 
@@ -79,13 +79,12 @@ def cmd_offset(args) -> dict[str, str]:
     layers = [svg.SvgLayer(curve.points, closed=curve.closed, color=svg.PALETTE[0], markers=True)]
     note = "arc offsets are not polygonal; lengths reported in the CSV only" if args.variant == "arc" else None
     for i, t in enumerate(t_values):
-        predicted = offset_length(curve, t, args.variant)
-        # the segment and arc formulas hold only where no corner turns toward the offset
-        toward = np.flatnonzero(t * curve.turning_angles > 0)
-        if args.variant != "wedge" and toward.size:
-            rows.append((t, predicted, None, None, "corner_overlap"))
-            print(f"t={t:g}: corner {toward[0]} turns toward the offset; "
-                  f"the {args.variant} length formula does not hold", file=sys.stderr)
+        try:
+            predicted = offset_length(curve, t, args.variant)
+            _require_corners_away(curve, t, args.variant)  # offset_length returns the arc formula for any t
+        except CornerOverlap as exc:
+            rows.append((t, None, None, None, "corner_overlap"))
+            print(f"t={t:g}: {exc}", file=sys.stderr)
             continue
         if args.variant == "arc":
             rows.append((t, predicted, None, None, "ok"))

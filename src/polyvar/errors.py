@@ -83,6 +83,12 @@ class EdgeCollapse(DegeneracyError):
         self.k = k
 
 
+class CornerOverlap(DegeneracyError):
+    def __init__(self, k, variant):
+        super().__init__(f"corner {k} turns toward the offset; the {variant} length formula does not hold")
+        self.k = k
+
+
 class ZeroVolumeGradient(DegeneracyError):
     pass
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import edge_curvatures
 from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, cusp_vertices, rot90
-from .errors import CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
+from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
 
@@ -94,6 +94,18 @@ def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.nda
     return factors
 
 
+def _require_corners_away(curve: DiscreteCurve, t: float, variant: str):
+    """CornerOverlap at the first vertex whose segment or arc join turns toward the offset, t * theta_k > 0.
+
+    The segment and arc length formulas count every corner chord or arc as
+    turning away from the offset; the wedge join has no such corner.
+    """
+    if variant in ("segment", "arc"):
+        toward = np.flatnonzero(t * curve.turning_angles > 0)
+        if toward.size:
+            raise CornerOverlap(int(toward[0]), variant)
+
+
 def parallel_curve(curve: DiscreteCurve, t: float) -> DiscreteCurve:
     """Offset curve p_k + t N_k; every edge stays parallel to its source edge."""
     _offset_factors(curve, t, "parallel offsets require a closed curve")
@@ -134,12 +146,17 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     wedge:   L - t * sum 2 tan(theta_k/2) (equals the Steiner per-edge sum)
 
     The segment and arc formulas describe the offset only where no corner
-    turns toward it, t * theta_k <= 0 at every vertex; elsewhere they are
-    returned all the same (polyvar offset marks those rows corner_overlap).
+    turns toward it, t * theta_k <= 0 at every vertex.  Elsewhere the
+    segment variant raises CornerOverlap; the arc formula is returned all
+    the same, with each such corner's arc counted as a negative length (so
+    it is not the length of an offset curve, and polyvar offset marks the
+    row corner_overlap).
     """
     _check_offset(curve, t, "offset lengths require a closed curve")
     if variant == "wedge":
         _require_no_cusp(curve)  # before the turning angles warn about the cusp
+    elif variant == "segment":
+        _require_corners_away(curve, t, variant)
     theta = curve.turning_angles
     length = float(curve.edge_lengths.sum())
     if variant == "segment":

@@ -88,27 +88,36 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     return curve.edge_normals + 0.5 * kappa * (p_next + p)
 
 
-@lru_cache(maxsize=256)
-def _residual_conditioning(n: int, m: int) -> float:
-    """Smallest nonzero singular value of the residual's Jacobian at the regular (n, m) polygon of radius 1.
+def _regular_hessian_blocks(n: int, m: int):
+    """(r, t, b) per harmonic j = 0 .. n-1 of the Hessian of L + kappa Vol at the regular (n, m) polygon of radius 1.
 
-    R A_k is the gradient of L + kappa Vol, so the singular values are the
-    absolute eigenvalues of its Hessian.  In each vertex's (radial,
-    tangential) frame the Hessian is circulant; at phase theta = 2 pi j / n,
-    with s = sin(pi m / n) and c = cos(pi m / n), its 2 x 2 block is
-    [[2 c^2 sin^2(theta/2) / s - 2 s cos(theta), i s^2 sin(theta) / c],
-     [-i s^2 sin(theta) / c, 2 s sin^2(theta/2)]].
-    The three rigid motions (j = 0 and j = +-m) are its only null modes.  The
-    value falls as n^-3 for convex polygons: 0.224, 0.0297, 0.00377 and
-    0.000473 at n = 8, 16, 32 and 64, from the near-reparametrisations.
+    In each vertex's (radial, tangential) frame the Hessian is circulant; at
+    phase theta = 2 pi j / n, with s = sin(pi m / n) and c = cos(pi m / n),
+    its 2 x 2 Hermitian block is [[r, i b], [-i b, t]] with
+    r = 2 c^2 sin^2(theta/2) / s - 2 s cos(theta), t = 2 s sin^2(theta/2)
+    and b = s^2 sin(theta) / c.  The three rigid motions (j = 0 and j = +-m)
+    are its only null modes.
     """
     theta = 2.0 * np.pi * np.arange(n) / n
     s, c = np.sin(np.pi * m / n), np.cos(np.pi * m / n)
     half_sq = np.sin(0.5 * theta) ** 2
     diag_r = 2.0 * c * c * half_sq / s - 2.0 * s * np.cos(theta)
     diag_t = 2.0 * s * half_sq
+    return diag_r, diag_t, s * s * np.sin(theta) / c
+
+
+@lru_cache(maxsize=256)
+def _residual_conditioning(n: int, m: int) -> float:
+    """Smallest nonzero singular value of the residual's Jacobian at the regular (n, m) polygon of radius 1.
+
+    R A_k is the gradient of L + kappa Vol, so the singular values are the
+    absolute eigenvalues of its Hessian, those of _regular_hessian_blocks.
+    The value falls as n^-3 for convex polygons: 0.224, 0.0297, 0.00377 and
+    0.000473 at n = 8, 16, 32 and 64, from the near-reparametrisations.
+    """
+    diag_r, diag_t, off = _regular_hessian_blocks(n, m)
     mean = 0.5 * (diag_r + diag_t)
-    radius = np.hypot(0.5 * (diag_r - diag_t), s * s * np.sin(theta) / c)
+    radius = np.hypot(0.5 * (diag_r - diag_t), off)
     singular = np.abs(np.concatenate([mean - radius, mean + radius]))
     return float(np.partition(singular, 3)[3])
 

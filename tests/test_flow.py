@@ -21,6 +21,8 @@ from polyvar import (
     volume_gradients,
 )
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
+from polyvar.flow import _along_chords, _along_volume_gradient
+from polyvar.variation import _regular_hessian_blocks
 
 from helpers import random_star_polygon
 
@@ -246,11 +248,11 @@ def test_run_flow_step_counts_pinned():
     # any change to the arithmetic of a step or to the momentum rule moves these counts
     runs = [run_flow(_perturbed_octagon(i), FlowConfig(step_size=0.2)) for i in range(5)]
     assert [t.verdict for t in runs] == ["converged"] * 5
-    assert [t.steps_taken for t in runs] == [67, 80, 50, 63, 65]
+    assert [t.steps_taken for t in runs] == [36, 35, 67, 46, 35]
 
 
 def test_plain_flow_step_counts_pinned():
-    """flow_step without momentum is plain backtracked steepest descent, the restart step of run_flow."""
+    """flow_step without momentum is plain backtracked descent along the chord-preconditioned direction, the restart step of run_flow."""
     config = FlowConfig(step_size=0.2)
     counts = []
     for i in range(5):
@@ -262,7 +264,7 @@ def test_plain_flow_step_counts_pinned():
                 break
         assert diag["max_projected_gradient"] < config.grad_tolerance
         counts.append(step)
-    assert counts == [231, 255, 214, 258, 244]
+    assert counts == [64, 71, 59, 72, 68]
 
 
 def test_flow_step_momentum_state():
@@ -341,3 +343,93 @@ def test_run_flow_sigma_mirror():
             assert np.array_equal(a.curve.points, b.curve.points)
             assert a.length == b.length and a.volume == -b.volume != 0
             assert a.max_projected_gradient == b.max_projected_gradient
+
+
+def test_chord_preconditioned_direction(rng):
+    """d keeps g's component along the area gradient and scales its chord component by alpha."""
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        sigma = int(rng.choice([-1, 1]))
+        curve = make_curve(random_star_polygon(rng, n).points * 10.0 ** rng.uniform(-6, 6), sigma=sigma)
+        g = project_volume_preserving(curve, length_gradients(curve))
+        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        alpha = 1.0 / np.tan(np.pi / n) ** 2
+        d = _along_chords(g, u, alpha)
+        unit_u = u / np.hypot(u[:, 0], u[:, 1])[:, None]
+        unit_c = unit_u[:, ::-1] * [-1.0, 1.0]  # along the chord p_{k+1} - p_{k-1}
+        atol = 1e-14 * max(1.0, alpha) * np.abs(g).max()
+        assert np.allclose((d * unit_u).sum(axis=1), (g * unit_u).sum(axis=1), rtol=0, atol=atol)
+        assert np.allclose((d * unit_c).sum(axis=1), alpha * (g * unit_c).sum(axis=1), rtol=0, atol=atol)
+        # first-order area preserving, and a descent direction: <g, d> >= min(1, alpha) |g|^2
+        gv = volume_gradients(curve)
+        assert abs(float((d * gv).sum())) <= 10 * n * atol * np.abs(gv).max()
+        g_sq = float((g * g).sum())
+        assert float((g * d).sum()) >= min(1.0, alpha) * g_sq * (1 - 1e-12)
+        if n >= 4:
+            assert float((g * d).sum()) >= g_sq * (1 - 1e-12)
+
+
+def test_chord_preconditioning_skips_a_zero_area_gradient():
+    g = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+    u = np.array([[0.0, 0.5], [0.0, 0.0], [0.3, 0.0]])
+    d = _along_chords(g, u, 4.0)
+    assert d.tolist() == [[4.0, 2.0], [3.0, -1.0], [0.5, 1.0]]
+
+
+def _preconditioned_blocks(n, alpha):
+    """|eigenvalues| over j = 1..n-1 of the regular n-gon's (radial, tangential) blocks, tangential scaled by alpha.
+
+    Scaling the tangential row and column of [[r, i b], [-i b, t]] by sqrt(alpha)
+    gives [[r, i sqrt(alpha) b], [-i sqrt(alpha) b, alpha t]].  The two
+    translations (j = 1 and n - 1) are dropped.
+    """
+    r, t, b = (part[1:] for part in _regular_hessian_blocks(n, 1))
+    mean = 0.5 * (r + alpha * t)
+    radius = np.hypot(0.5 * (r - alpha * t), np.sqrt(alpha) * b)
+    return np.sort(np.abs(np.concatenate([mean - radius, mean + radius])))[2:]
+
+
+def test_chord_preconditioning_conditions_the_regular_polygon():
+    """kappa of the preconditioned blocks is csc^2(pi/n) for even n, and not above it for odd n."""
+    unscaled = _preconditioned_blocks(64, 1.0)
+    assert unscaled[-1] / unscaled[0] == pytest.approx(86256, abs=1)
+    for n in range(5, 4097):
+        alpha = 1.0 / np.tan(np.pi / n) ** 2
+        eigenvalues = _preconditioned_blocks(n, alpha)
+        kappa, bound = eigenvalues[-1] / eigenvalues[0], 1.0 / np.sin(np.pi / n) ** 2
+        stiffest = _preconditioned_blocks(n, 1.0)[-1]  # step_size keeps its meaning
+        if n % 2 == 0:
+            assert kappa == pytest.approx(bound, rel=1e-9)
+            assert eigenvalues[-1] == pytest.approx(stiffest, rel=1e-12)
+        else:
+            assert kappa <= bound * (1 + 1e-9)
+            assert stiffest <= eigenvalues[-1] < 1.03 * stiffest
+
+
+def test_run_flow_benchmark_instance_n256():
+    """Benchmark instance (256, 0) took 12,918 steps with the unpreconditioned step."""
+    n = 256
+    rng = np.random.default_rng([0, n, 0])
+    curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
+    volume0 = enclosed_volume(curve)
+    trajectory = run_flow(curve, FlowConfig(step_size=0.2, max_steps=2000))
+    _assert_regular_limit(trajectory, n)
+    assert all(abs(snap.volume - volume0) < 1e-8 * abs(volume0) for snap in trajectory.snapshots)
+
+
+def test_run_flow_leaves_the_input_bare():
+    curve = _perturbed_octagon(0)
+    run_flow(curve, FlowConfig(step_size=0.2))
+    assert sorted(vars(curve)) == ["closed", "points", "sigma"]
+
+
+def test_run_flow_area_overflow_degenerates_without_warning():
+    """The area of a heptagon of size 1e154 overflows; the flow says so in its verdict, not on stderr.
+
+    pyproject.toml turns a RuntimeWarning into a test failure.
+    """
+    rng = np.random.default_rng(0)
+    points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
+    trajectory = run_flow(make_curve(points * 1e154), FlowConfig(max_steps=3000))
+    assert trajectory.verdict == "degenerated"
+    assert trajectory.reason.startswith("no acceptable step at step 0")

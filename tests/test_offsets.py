@@ -25,7 +25,7 @@ from polyvar import (
     weighted_vertex_normal,
     weighted_vertex_normals,
 )
-from polyvar.errors import CuspAdjacent, CuspVertex, CuspWarning, EdgeCollapse, OpenCurve
+from polyvar.errors import CornerOverlap, CuspAdjacent, CuspVertex, CuspWarning, DegeneracyError, EdgeCollapse, OpenCurve
 from polyvar.stability import decompose_field, reconstruct_field, regular_polygon_kappa
 
 from helpers import random_equilateral_polygon, random_star_polygon
@@ -224,6 +224,25 @@ def test_offset_length_wedge_rejects_cusp_without_warning():
         warnings.simplefilter("error", CuspWarning)
         with pytest.raises(CuspVertex):
             offset_length(cusp, 0.1, "wedge")
+
+
+def test_segment_offset_length_rejects_corner_overlap():
+    # every corner of the unit triangle turns by -2pi/3, so t < 0 offsets it toward the corners;
+    # the segment formula gave 4.157 at t = -0.2 against an offset polygon 6.235 long
+    tri = regular_polygon(3)
+    with pytest.raises(CornerOverlap, match="corner 0 turns toward the offset; the segment") as caught:
+        offset_length(tri, -0.2, "segment")
+    assert caught.value.k == 0 and isinstance(caught.value, DegeneracyError) and caught.value.exit_code == 3
+    assert offset_length(tri, 0.3, "segment") == pytest.approx(total_length(offset_polygon(tri, 0.3, "segment")))
+
+
+def test_corner_rule_covers_segment_and_arc_joins():
+    tri = regular_polygon(3)
+    for t, variant in ((-0.2, "segment"), (-5.0, "arc")):  # the arc formula gives -26.2 at t = -5
+        with pytest.raises(CornerOverlap, match=f"the {variant} length formula"):
+            polyvar.offsets._require_corners_away(tri, t, variant)
+    for t, variant in ((0.3, "segment"), (0.3, "arc"), (-0.2, "wedge"), (0.0, "arc")):
+        polyvar.offsets._require_corners_away(tri, t, variant)
 
 
 def test_offset_length_unknown_variant(sq):
