@@ -321,17 +321,16 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
     """Signed area (1/2) sum <p_k, nu_k> l_k; sign depends on orientation and sigma."""
     if not curve.closed:
         raise OpenCurve("enclosed volume requires a closed curve")
-    return _signed_area(curve.points, curve.sigma, curve.edge_vectors)
+    return _signed_area(curve.points, curve.sigma)
 
 
-def _signed_area(points: np.ndarray, sigma: int, edges: np.ndarray | None = None) -> float:
+def _signed_area(points: np.ndarray, sigma: int) -> float:
     """enclosed_volume of the closed polygon through points, which need not be a curve.
 
     (1/2) sum <p_k, R e_k> = -(sigma/2) sum (x_k e_k,y - y_k e_k,x), with the
-    edges e_k = p_{k+1} - p_k computed here unless given.
+    edges e_k = p_{k+1} - p_k computed here, so that a curve caches no array.
     """
-    if edges is None:
-        edges = np.concatenate([points[1:], points[:1]]) - points
+    edges = np.concatenate([points[1:], points[:1]]) - points
     xe, ye = points[:, 0] * edges[:, 1], points[:, 1] * edges[:, 0]
     # the difference taken in sigma's order is <p_k, R e_k> to the bit, zeros' signs included
     cross = xe - ye if sigma < 0 else ye - xe

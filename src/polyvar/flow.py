@@ -6,21 +6,34 @@ the vertices, and restores the enclosed area exactly by a homothety about the
 vertex centroid (area is quadratic under scaling, so the correct factor is
 sqrt(target / current)).
 
-The step direction is the projected gradient g preconditioned along the
-chords: d_k = g_k + (alpha - 1) (g_k . c_k) c_k, with c_k the unit direction
-of the chord p_{k+1} - p_{k-1} (normal to the area gradient at vertex k) and
-alpha = cot^2(pi / n).  At the regular n-gon, the constrained equilibrium
-the flow converges to, the Hessian of L + kappa Vol is circulant in each
-vertex's (radial, tangential) frame, and its tangential entries are
-cot^2(pi / n) times softer than its radial ones (the 2 x 2 blocks of
-variation._regular_hessian_blocks); scaling the chord component by alpha
-lowers the condition number of the preconditioned blocks from 23, 345,
-5,417 and 86,256 at n = 8, 16, 32 and 64 to csc^2(pi / n) = alpha + 1 for
-even n (6.8, 26, 104 and 415; a little less for odd n).  The largest
-eigenvalue does not move for even n, and grows by under 3 % for odd n, so
-FlowConfig.step_size keeps its meaning.  d is area-preserving to first
-order, since c_k is normal to the area gradient, and <g, d> > 0 wherever
-g != 0.
+The step direction is d = P (g - lam u): g the projected gradient, u the area
+gradient, lam the multiplier that makes <u, d> = 0 (so d preserves the area
+to first order), and P the inverse of the second variation of the regular
+polygon the curve's winding names.  At the regular (n, m) polygon the
+Hessian of L + kappa Vol is circulant in each vertex's (area-gradient,
+chord) frame, one closed-form 2 x 2 Hermitian block H_j per harmonic j
+(variation._regular_hessian_blocks), and P = lambda_max |H_j|^-1 per
+harmonic, lambda_max the largest |eigenvalue| of the blocks: one FFT of
+the frame components of g and u, a 2 x 2 product per harmonic, one inverse
+FFT.  There every
+eigenvalue of P times the Hessian is +-lambda_max but on the three rigid
+motions, which P leaves at 0; so the flow is Newton-like next to every
+regular polygon, and the stiffest mode, hence FlowConfig.step_size, keeps
+its meaning.  |H_j|, not H_j, as in saddle-free Newton (Dauphin et al.,
+2014): P is positive, so <g, d> > 0 wherever Pg is not a multiple of Pu,
+and the flow leaves the unstable stars along their negative modes.
+
+The winding is w = sigma turning_number(curve), m = |w|; the off-diagonal
+of H_j changes sign with w.  Far from the regular polygon, each |eigenvalue|
+is floored at lambda_max / cap, with cap = max(csc^2(pi / n), 1 / delta^2)
+rounded to a power of two and delta = (max l - min l) / mean l +
+(max theta - min theta): a curve far from regular gets a step no more
+aggressive than the chord scaling below, and one close to it the exact
+inverse.  Where no regular polygon has the curve's winding (0 < 2m < n
+fails), or the curve has a cusp or a non-integer turning, the direction
+is g with its component along each vertex's chord p_{k+1} - p_{k-1} scaled
+by cot^2(pi / n), the tangential-to-radial stiffness ratio of the regular
+n-gon.
 
 The plain step moves along -d: a trial that collapses an edge or does not
 decrease the length enough is retried with a halved step size.  run_flow
@@ -29,11 +42,9 @@ restart for accelerated gradient schemes", 2015): each step first tries
 x + k/(k+3) (x - x_prev) - h d with the step size h the plain step last
 accepted, under the same area homothety and the same length test; when that
 trial fails, k restarts at 0 and the step is the plain one.  So the length
-falls at every step, the area is restored exactly, and the step count drops
-from about kappa to about sqrt(kappa), kappa the condition number of the
-preconditioned problem near its minimum.  At convergence the Lagrange
-multiplier is recovered by least squares and the limit is classified as an
-equilibrium.
+falls at every step and the area is restored exactly.  At convergence the
+Lagrange multiplier is recovered by least squares and the limit is
+classified as an equilibrium.
 """
 
 from __future__ import annotations
@@ -41,14 +52,28 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _dot, _signed_area, enclosed_volume, rot90, total_length
-from .errors import OpenCurve, ZeroEdge, ZeroVolumeGradient
-from .variation import EquilibriumReport, classify_equilibrium, length_gradients, volume_gradients
+from .curves import DiscreteCurve, _dot, _signed_area, enclosed_volume, rot90, total_length, turning_number
+from .errors import CuspPresent, NonIntegerTurning, OpenCurve, ZeroEdge, ZeroVolumeGradient
+from .variation import (
+    EquilibriumReport,
+    _names_regular_polygon,
+    _regular_hessian_spectrum,
+    classify_equilibrium,
+    length_gradients,
+    volume_gradients,
+)
 
 MAX_HALVINGS = 20
+
+# The block inverse floors |eigenvalue| at lambda_max 2^-cap_exp.  The smallest
+# non-rigid |eigenvalue| of a regular polygon is lambda_max 2^-16.4 at n = 64
+# and 2^-40.4 at n = 4096 (m = 1; it falls as n^-4), so at 2^-64 the floor
+# bites on no polygon below about 200,000 vertices.
+MAX_CAP_EXP = 64
 
 # Tolerance handed to classify_equilibrium once the flow has converged.
 CLASSIFY_TOLERANCE = 1e-6
@@ -154,6 +179,73 @@ def _along_chords(g: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     return g + ((alpha - 1.0) * _dot(g, c))[:, None] * c
 
 
+@lru_cache(maxsize=256)
+def _block_inverse(n: int, w: int, cap_exp: int):
+    """(alpha, beta, reversal) per harmonic j = 0 .. n-1: P applied to z = a + i c is ifft(alpha Z + beta conj(Z_{-j})).
+
+    a and c are the components along each vertex's area gradient and chord,
+    Z = fft(z), and conj(Z_{-j}) = conj(Z[reversal]); alpha and beta carry
+    the 1 / n of the inverse transform.  P_j = lambda_max
+    |H_j|^-1 for the blocks H_j = [[r, i b], [-i b, t]] of
+    _regular_hessian_spectrum at m = |w|, with b negated where the winding w
+    is negative, and lambda_max their largest |eigenvalue|: each eigenvalue
+    mu gets the weight lambda_max / max(|mu|, lambda_max 2^-cap_exp), and
+    the three rigid motions, the eigenvalue nearer zero at j = 0, m and
+    n - m, get 0.  With weights w_low, w_high and mean, radius as there,
+    P_j = (w_high + w_low) / 2 I + s (H_j - mean I), s = (w_high - w_low) / (2 radius),
+    so alpha = (w_high + w_low) / 2 + s b and beta = s (r - t) / 2.
+    """
+    m = abs(w)
+    r, t, b, low, high = _regular_hessian_spectrum(n, m)
+    size = np.abs(np.stack([low, high]))
+    stiffest = size.max()
+    weights = stiffest / np.maximum(size, math.ldexp(stiffest, -cap_exp))
+    for j in (0, m, n - m):
+        weights[size[:, j].argmin(), j] = 0.0
+    slope = 0.5 * (weights[1] - weights[0]) / np.hypot(0.5 * (r - t), b)
+    alpha = 0.5 * (weights[1] + weights[0]) + math.copysign(1.0, w) * slope * b
+    return alpha / n, slope * 0.5 * (r - t) / n, -np.arange(n) % n
+
+
+def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """P (g - lam u) with <u, P (g - lam u)> = 0, P the block inverse of the regular polygon of the curve's winding.
+
+    P acts per harmonic on the components along n_k = u_k / |u_k| and
+    c_k = rot90(n_k, +1), the frames in which _regular_hessian_blocks are
+    written at the winding w = sigma turning_number(curve) (with b negated
+    where w < 0); as complex numbers, g_k . n_k + i g_k . c_k = g_k conj(n_k).
+    Its eigenvalues are floored at lambda_max / cap,
+    cap = max(csc^2(pi / n), 1 / delta^2) rounded to a power of two,
+    delta = (max l - min l) / mean l + (max theta - min theta).  None where
+    the curve has a cusp, a non-integer turning or a zero u_k, where no
+    regular polygon has its winding, or where <u, P u> is not positive.
+    """
+    n = curve.n
+    try:
+        w = curve.sigma * turning_number(curve)
+    except (CuspPresent, NonIntegerTurning):
+        return None
+    norm = np.hypot(u[:, 0], u[:, 1])
+    if not _names_regular_polygon(n, abs(w)) or not norm.min() > 0:
+        return None
+    lengths, theta = curve.edge_lengths, curve.turning_angles
+    delta = (lengths.max() - lengths.min()) * n / lengths.sum() + (theta.max() - theta.min())
+    cap_exp = round(-2 * math.log2(math.sin(math.pi / n)))
+    if 0 < delta < 1:  # delta = 1 / cap; a NaN or infinite delta keeps csc^2(pi / n)
+        cap_exp = min(max(cap_exp, round(-2 * math.log2(delta))), MAX_CAP_EXP)
+    elif delta == 0:
+        cap_exp = MAX_CAP_EXP
+    alpha, beta, reversal = _block_inverse(n, w, cap_exp)
+    normal = u.view(complex)[:, 0] / norm
+    spectra = np.fft.fft(np.stack([g.view(complex)[:, 0] * normal.conj(), norm]))
+    pg, pu = np.fft.ifft(alpha * spectra + beta * spectra[:, reversal].conj(), norm="forward")
+    u_pu = float(norm @ pu.real)
+    if not u_pu > 0:
+        return None
+    lam = float(norm @ pg.real) / u_pu
+    return ((pg - lam * pu) * normal).view(float).reshape(n, 2)
+
+
 def _trials(x: np.ndarray, d: np.ndarray, config: FlowConfig, momentum: dict | None):
     """(trial points, h, momentum count after acceptance), in the order flow_step tries them."""
     if momentum:
@@ -174,11 +266,13 @@ def flow_step(
     """One descent step; returns (new_curve, diagnostics dict).
 
     The projected gradient g is evaluated at the input curve, and so is the
-    direction d, g with its component along each vertex's chord scaled by
-    alpha = cot^2(pi / n) (see the module docstring: alpha is the ratio of
-    the radial to the tangential stiffness at the regular n-gon, and the
-    stiffest mode, hence the largest stable step size, is the same for d as
-    for g).  The step is x - h d, backtracked (up to 20 halvings) if it
+    direction d = P (g - lam u), P the capped inverse of the second variation
+    of the regular polygon with the curve's winding, applied per harmonic by
+    FFT, and lam such that <u, d> = 0; where the winding names no regular
+    polygon, or the curve has a cusp, d is g with its chord components scaled
+    by cot^2(pi / n) (see the module docstring).  P leaves the stiffest mode
+    unchanged, so the largest stable step size is the same for d as for g.
+    The step is x - h d, backtracked (up to 20 halvings) if it
     produces a zero edge, flips the enclosed area, or does not decrease the
     length by a tenth of h <g, d>.  The convergence test and diagnostics
     read g: diagnostics carries the pre-step gradient norm and the accepted
@@ -209,7 +303,9 @@ def flow_step(
     if target_volume is None:
         target_volume = diagnostics["volume"]
     x, length = curve.points, diagnostics["length"]
-    d = _along_chords(g, u, 1.0 / math.tan(math.pi / curve.n) ** 2)
+    d = _along_blocks(curve, g, u)
+    if d is None:
+        d = _along_chords(g, u, 1.0 / math.tan(math.pi / curve.n) ** 2)
     slope = float((g * d).sum())
     roundoff = 1e-14 * max(1.0, length)
     # expected first-order decrease is h <g, d>; demand a tenth of it,

@@ -153,7 +153,8 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
         "cusp_vertices": [int(k) for k in cusp_vertices(curve)],
     }
     if curve.closed:
-        doc["enclosed_volume"] = _number(enclosed_volume(curve))
+        with np.errstate(over="ignore"):  # an area beyond the float range is written as null
+            doc["enclosed_volume"] = _number(enclosed_volume(curve))
         try:
             doc["turning_number"] = turning_number(curve)
         except CuspPresent:

@@ -106,19 +106,35 @@ def _regular_hessian_blocks(n: int, m: int):
     return diag_r, diag_t, s * s * np.sin(theta) / c
 
 
+def _names_regular_polygon(n: int, m: int) -> bool:
+    """Whether n vertices turning m times in all can form a regular polygon: 0 < 2m < n."""
+    return 0 < 2 * m < n
+
+
+def _regular_hessian_spectrum(n: int, m: int):
+    """(r, t, b, low, high) per harmonic j = 0 .. n-1: _regular_hessian_blocks and their eigenvalues.
+
+    The eigenvalues of [[r, i b], [-i b, t]] are mean -+ radius, with
+    mean = (r + t) / 2 and radius = |((r - t) / 2, b)|.  Its callers cache
+    what they derive from it, so it keeps no array itself.
+    """
+    diag_r, diag_t, off = _regular_hessian_blocks(n, m)
+    mean = 0.5 * (diag_r + diag_t)
+    radius = np.hypot(0.5 * (diag_r - diag_t), off)
+    return diag_r, diag_t, off, mean - radius, mean + radius
+
+
 @lru_cache(maxsize=256)
 def _residual_conditioning(n: int, m: int) -> float:
     """Smallest nonzero singular value of the residual's Jacobian at the regular (n, m) polygon of radius 1.
 
     R A_k is the gradient of L + kappa Vol, so the singular values are the
-    absolute eigenvalues of its Hessian, those of _regular_hessian_blocks.
+    absolute eigenvalues of its Hessian, those of _regular_hessian_spectrum.
     The value falls as n^-3 for convex polygons: 0.224, 0.0297, 0.00377 and
     0.000473 at n = 8, 16, 32 and 64, from the near-reparametrisations.
     """
-    diag_r, diag_t, off = _regular_hessian_blocks(n, m)
-    mean = 0.5 * (diag_r + diag_t)
-    radius = np.hypot(0.5 * (diag_r - diag_t), off)
-    singular = np.abs(np.concatenate([mean - radius, mean + radius]))
+    low, high = _regular_hessian_spectrum(n, m)[3:]
+    singular = np.abs(np.concatenate([low, high]))
     return float(np.partition(singular, 3)[3])
 
 
@@ -163,7 +179,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         # a = l0 / (2 sin(pi m / n)), sigma its conditioning at radius 1; dp
         # moves an edge length by at most 2 dp and a turning angle by 4 dp / l0
         m = round(abs(theta0) * curve.n / (2.0 * np.pi))
-        if not 0 < 2 * m < curve.n:
+        if not _names_regular_polygon(curve.n, m):
             raise InternalInconsistency("residual passed but no regular polygon has this turning")
         sin_half = np.sin(np.pi * m / curve.n)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0

@@ -406,7 +406,7 @@ def test_open_curve_per_edge_values(name):
 @pytest.mark.parametrize("n", [3, 8, 4096])
 @pytest.mark.parametrize("sigma", [-1, 1])
 def test_signed_area_matches_rotated_form(rng, n, sigma):
-    """The area is (1/2) sum <p_k, R e_k> to the bit, with or without the curve's edges."""
+    """The area is (1/2) sum <p_k, R e_k> to the bit, asked of the curve or of its points."""
     def bits(x):
         return np.float64(x).tobytes()  # tells -0.0 from 0.0
 
@@ -418,3 +418,10 @@ def test_signed_area_matches_rotated_form(rng, n, sigma):
         assert bits(_signed_area(c.points, sigma)) == bits(rotated)
     with pytest.raises(OpenCurve):
         enclosed_volume(make_curve(curves[1].points, closed=False, sigma=sigma))
+
+
+def test_enclosed_volume_caches_nothing():
+    """A caller that keeps its curves keeps no array of theirs by asking for their areas."""
+    curve = regular_polygon(16)
+    enclosed_volume(curve)
+    assert sorted(vars(curve)) == ["closed", "points", "sigma"]

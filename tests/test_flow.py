@@ -21,8 +21,8 @@ from polyvar import (
     volume_gradients,
 )
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
-from polyvar.flow import _along_chords, _along_volume_gradient
-from polyvar.variation import _regular_hessian_blocks
+from polyvar.flow import _along_blocks, _along_chords, _along_volume_gradient
+from polyvar.variation import _regular_hessian_blocks, _regular_hessian_spectrum
 
 from helpers import random_star_polygon
 
@@ -248,11 +248,11 @@ def test_run_flow_step_counts_pinned():
     # any change to the arithmetic of a step or to the momentum rule moves these counts
     runs = [run_flow(_perturbed_octagon(i), FlowConfig(step_size=0.2)) for i in range(5)]
     assert [t.verdict for t in runs] == ["converged"] * 5
-    assert [t.steps_taken for t in runs] == [36, 35, 67, 46, 35]
+    assert [t.steps_taken for t in runs] == [5, 5, 5, 9, 5]
 
 
 def test_plain_flow_step_counts_pinned():
-    """flow_step without momentum is plain backtracked descent along the chord-preconditioned direction, the restart step of run_flow."""
+    """flow_step without momentum is plain backtracked descent along the block-preconditioned direction, the restart step of run_flow."""
     config = FlowConfig(step_size=0.2)
     counts = []
     for i in range(5):
@@ -264,12 +264,15 @@ def test_plain_flow_step_counts_pinned():
                 break
         assert diag["max_projected_gradient"] < config.grad_tolerance
         counts.append(step)
-    assert counts == [64, 71, 59, 72, 68]
+    assert counts == [5, 5, 5, 5, 5]
 
 
 def test_flow_step_momentum_state():
     """Each step either extends the momentum count or restarts it with exactly the plain step."""
-    curve, config = _perturbed_octagon(0), FlowConfig(step_size=0.2)
+    # far enough from the regular 16-gon that its first 10 steps restart, extend and restart again
+    rng = np.random.default_rng([1, 16, 0])
+    curve = make_curve(regular_polygon(16).points + 0.5 * rng.standard_normal((16, 2)) / 16)
+    config = FlowConfig(step_size=0.2)
     target = enclosed_volume(curve)
     momentum, kinds = {}, []
     for _ in range(10):
@@ -433,3 +436,150 @@ def test_run_flow_area_overflow_degenerates_without_warning():
     trajectory = run_flow(make_curve(points * 1e154), FlowConfig(max_steps=3000))
     assert trajectory.verdict == "degenerated"
     assert trajectory.reason.startswith("no acceptable step at step 0")
+
+
+def _hessian(curve, kappa):
+    """Central differences of grad L + kappa grad Vol over all 2n vertex coordinates."""
+    x, eps = curve.points.ravel(), 1e-6 * curve.diameter()
+
+    def gradient(y):
+        moved = curve.with_points(y.reshape(-1, 2))
+        return (length_gradients(moved) + kappa * volume_gradients(moved)).ravel()
+
+    columns = []
+    for i in range(len(x)):
+        step = np.zeros_like(x)
+        step[i] = eps
+        columns.append((gradient(x + step) - gradient(x - step)) / (2 * eps))
+    hessian = np.column_stack(columns)
+    return 0.5 * (hessian + hessian.T)
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (7, 3), (8, 1), (9, 2), (16, 1)])
+@pytest.mark.parametrize("sigma", [-1, 1])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_block_preconditioner_inverts_the_regular_hessian(n, m, sigma, reverse):
+    """At the regular (n, m) polygon, the map g -> d times the Hessian has eigenvalues 0 and +-lambda_max / a.
+
+    d = P (g - lam u) is linear in g; P = lambda_max |H|^-1 leaves the three
+    rigid motions at 0 and every other mode at +-lambda_max / a (a the
+    radius), and the multiplier removes the area mode u.  The sign is - on
+    the star's unstable modes.
+    """
+    a = 1.7
+    curve = regular_polygon(n, m, a, sigma=sigma)
+    if reverse:
+        curve = curve.with_points(curve.points[::-1])
+    hessian = _hessian(curve, lagrange_kappa(curve))
+    _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+    unit = np.eye(2 * n)
+    step_map = np.column_stack([_along_blocks(curve, unit[i].reshape(n, 2), u).ravel() for i in range(2 * n)])
+    assert np.allclose(step_map, step_map.T, rtol=0, atol=1e-12 * np.abs(step_map).max())
+    low, high = _regular_hessian_spectrum(n, m)[3:]
+    stiffest = max(np.abs(low).max(), np.abs(high).max()) / a
+    eigenvalues = np.sort(np.linalg.eigvals(step_map @ hessian).real)
+    nonzero = eigenvalues[np.abs(eigenvalues) > 0.5 * stiffest]
+    assert len(nonzero) == 2 * n - 4  # three rigid motions and the area mode
+    assert np.allclose(np.abs(nonzero), stiffest, rtol=1e-6)
+    # unstable modes: the Hessian's negative eigenvalues other than the area mode's
+    unstable = int((np.linalg.eigvalsh(hessian) < -1e-6 * stiffest).sum()) - 1
+    assert int((nonzero < 0).sum()) == unstable
+    assert (unstable > 0) == (m > 1)
+
+
+def test_block_preconditioned_direction(rng):
+    """d = P (g - lam u) preserves the area to first order and descends, on any winding."""
+    used = 0
+    for i in range(200):
+        sigma = int(rng.choice([-1, 1]))
+        if i % 2:
+            curve = random_star_polygon(rng, int(rng.integers(3, 40)), sigma=sigma)
+        else:
+            n = int(rng.integers(5, 30))
+            m = int(rng.integers(1, (n - 1) // 2 + 1))
+            points = regular_polygon(n, m).points
+            curve = make_curve(points + 0.02 * rng.standard_normal(points.shape), sigma=sigma)
+        if rng.random() < 0.5:
+            curve = curve.with_points(curve.points[::-1])
+        g = project_volume_preserving(curve, length_gradients(curve))
+        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        d = _along_blocks(curve, g, u)
+        if d is None:
+            continue
+        used += 1
+        assert abs(float((d * u).sum())) <= 1e-12 * np.abs(d).max() * np.abs(u).sum()
+        assert float((g * d).sum()) > 0
+    assert used > 150
+
+
+def test_block_preconditioner_falls_back_without_a_regular_winding():
+    """A turning number 0 names no regular polygon, and a cusp no turning number: the chord step stands in."""
+    bowtie = make_curve([(0, 0), (1, 1), (1, 0), (0, 1)])
+    cusp = make_curve([(0, 0), (2, 0), (1, 0), (1, 1)])
+    for curve in (bowtie, cusp):
+        g = project_volume_preserving(curve, length_gradients(curve))
+        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        assert _along_blocks(curve, g, u) is None
+
+
+def _far_from_regular():
+    """(name, points) of curves far from any regular polygon, drawn from one generator.
+
+    Radii 1 + noise U(-1, 1) with angles 2 pi k / n + noise U(-1, 1) pi / n
+    (noise 0.1) or sorted U(0, 2 pi) (noise 0.3), three of each for six n;
+    then the stars (5, 2), (7, 2), (7, 3) and (9, 4), twice each, moved by
+    0.02 N(0, 1).
+    """
+    rng = np.random.default_rng(7)
+    curves = []
+    for n in (6, 8, 12, 16, 32, 64):
+        for noise in (0.1, 0.3):
+            for i in range(3):
+                radii = 1 + noise * rng.uniform(-1, 1, n)
+                if noise == 0.1:
+                    angles = 2 * np.pi * np.arange(n) / n + noise * rng.uniform(-1, 1, n) * np.pi / n
+                else:
+                    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+                curves.append((f"{n}/{noise}/{i}", radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])))
+    for n, m in ((5, 2), (7, 2), (7, 3), (9, 4)):
+        for i in range(2):
+            curves.append((f"({n}, {m})/{i}", regular_polygon(n, m).points + 0.02 * rng.standard_normal((n, 2))))
+    return curves
+
+
+# steps of the curves with n <= 16 and of the stars: 864 in all (2,179 with the chord scaling alone)
+FAR_STEPS = {
+    "6/0.1/0": 26, "6/0.1/1": 26, "6/0.1/2": 29, "6/0.3/0": 9, "6/0.3/1": 14, "6/0.3/2": 14,
+    "8/0.1/0": 5, "8/0.1/1": 11, "8/0.1/2": 5, "8/0.3/0": 30, "8/0.3/1": 13, "8/0.3/2": 20,
+    "12/0.1/0": 25, "12/0.1/1": 16, "12/0.1/2": 27, "12/0.3/0": 62, "12/0.3/1": 28, "12/0.3/2": 43,
+    "16/0.1/0": 8, "16/0.1/1": 13, "16/0.1/2": 11, "16/0.3/0": 55, "16/0.3/1": 55, "16/0.3/2": 58,
+    "(5, 2)/0": 35, "(5, 2)/1": 32, "(7, 2)/0": 38, "(7, 2)/1": 35, "(7, 3)/0": 28, "(7, 3)/1": 23,
+    "(9, 4)/0": 33, "(9, 4)/1": 37,
+}
+
+
+def test_far_from_regular_step_counts_pinned():
+    """Far from a regular polygon the capped block step still takes every curve to the convex polygon."""
+    curves = [(name, points) for name, points in _far_from_regular() if name in FAR_STEPS]
+    assert len(curves) == len(FAR_STEPS)
+    steps = {}
+    for name, points in curves:
+        trajectory = run_flow(make_curve(points), FlowConfig(step_size=0.2))
+        assert trajectory.verdict == "converged" and trajectory.report.is_equilibrium
+        assert trajectory.report.winding == -1
+        steps[name] = trajectory.steps_taken
+    assert steps == FAR_STEPS
+
+
+def test_run_flow_calls_no_linear_algebra(monkeypatch):
+    """The block inverse is closed-form and applied by FFT: run_flow needs no LAPACK routine."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for n in (8, 64):
+        rng = np.random.default_rng([0, n, 0])
+        curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
+        assert run_flow(curve, FlowConfig(step_size=0.2)).verdict == "converged"
