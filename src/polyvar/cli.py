@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="area-constrained length descent")
     p.add_argument("--in", dest="input", required=True, help="input curve file")
-    p.add_argument("--step", type=float, default=FlowConfig.step_size, help="base step size")
+    p.add_argument("--step", type=float, default=FlowConfig.step_size, help="largest step size")
     p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
     p.add_argument("--tol", type=float, default=FlowConfig.grad_tolerance, help="gradient tolerance")
     p.add_argument("--out", help="output prefix (.csv and .svg appended)")

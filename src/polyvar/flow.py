@@ -18,8 +18,8 @@ the frame components of g and u, a 2 x 2 product per harmonic, one inverse
 FFT.  There every
 eigenvalue of P times the Hessian is +-lambda_max but on the three rigid
 motions, which P leaves at 0; so the flow is Newton-like next to every
-regular polygon, and the stiffest mode, hence FlowConfig.step_size, keeps
-its meaning.  |H_j|, not H_j, as in saddle-free Newton (Dauphin et al.,
+regular polygon, and the stiffest mode, hence the Newton step below, keeps
+its size.  |H_j|, not H_j, as in saddle-free Newton (Dauphin et al.,
 2014): P is positive, so <g, d> > 0 wherever Pg is not a multiple of Pu,
 and the flow leaves the unstable stars along their negative modes.
 
@@ -35,15 +35,22 @@ is g with its component along each vertex's chord p_{k+1} - p_{k-1} scaled
 by cot^2(pi / n), the tangential-to-radial stiffness ratio of the regular
 n-gon.
 
-The plain step moves along -d: a trial that collapses an edge or does not
-decrease the length enough is retried with a halved step size.  run_flow
-adds momentum with adaptive restart (O'Donoghue and Candes, "Adaptive
-restart for accelerated gradient schemes", 2015): each step first tries
-x + k/(k+3) (x - x_prev) - h d with the step size h the plain step last
-accepted, under the same area homothety and the same length test; when that
-trial fails, k restarts at 0 and the step is the plain one.  So the length
-falls at every step and the area is restored exactly.  At convergence the
-Lagrange multiplier is recovered by least squares and the limit is
+The plain step moves along -d, first by h0 = min(FlowConfig.step_size, L / (4n)),
+L the current length: at the convex regular n-gon the stiffest |eigenvalue|
+is 4 / l for even n (the zigzag harmonic j = n / 2) and within an eighth of
+it for odd n, and P keeps it, so L / (4n) = l / 4 is the Newton step.  A
+trial that collapses an edge or does not decrease the length enough is
+retried with a halved step size.  run_flow adds momentum with adaptive
+restart (O'Donoghue and Candes, "Adaptive restart for accelerated gradient
+schemes", 2015): each step first tries x + k/(k+3) (x - x_prev) - h d with
+the step size h the plain step last accepted, under the same area homothety
+and the same length test; when that trial fails, k restarts at 0 and the
+step is the plain one.  Near a regular polygon (the block inverse's cap
+above the chord scaling's, i.e. delta < sin^2(pi / n)) with step_size not
+clipping the Newton step, the plain Newton step is exact and momentum would
+overshoot it: the step skips the momentum trial and restarts k.  So the
+length falls at every step and the area is restored exactly.  At convergence
+the Lagrange multiplier is recovered by least squares and the limit is
 classified as an equilibrium.
 """
 
@@ -81,6 +88,8 @@ CLASSIFY_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """step_size is the largest step the flow tries: each plain step starts at min(step_size, L / (4n))."""
+
     step_size: float = 0.1
     max_steps: int = 20000
     grad_tolerance: float = 1e-8
@@ -207,8 +216,8 @@ def _block_inverse(n: int, w: int, cap_exp: int):
     return alpha / n, slope * 0.5 * (r - t) / n, -np.arange(n) % n
 
 
-def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """P (g - lam u) with <u, P (g - lam u)> = 0, P the block inverse of the regular polygon of the curve's winding.
+def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """(P (g - lam u), near) with <u, P (g - lam u)> = 0, P the block inverse of the regular polygon of the curve's winding.
 
     P acts per harmonic on the components along n_k = u_k / |u_k| and
     c_k = rot90(n_k, +1), the frames in which _regular_hessian_blocks are
@@ -216,7 +225,9 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> np.ndar
     where w < 0); as complex numbers, g_k . n_k + i g_k . c_k = g_k conj(n_k).
     Its eigenvalues are floored at lambda_max / cap,
     cap = max(csc^2(pi / n), 1 / delta^2) rounded to a power of two,
-    delta = (max l - min l) / mean l + (max theta - min theta).  None where
+    delta = (max l - min l) / mean l + (max theta - min theta); near says
+    that the cap is above csc^2(pi / n), i.e. delta < sin^2(pi / n), where P
+    is close enough to the exact inverse for the Newton step.  None where
     the curve has a cusp, a non-integer turning or a zero u_k, where no
     regular polygon has its winding, or where <u, P u> is not positive.
     """
@@ -230,7 +241,7 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> np.ndar
         return None
     lengths, theta = curve.edge_lengths, curve.turning_angles
     delta = (lengths.max() - lengths.min()) * n / lengths.sum() + (theta.max() - theta.min())
-    cap_exp = round(-2 * math.log2(math.sin(math.pi / n)))
+    cap_exp = chord_exp = round(-2 * math.log2(math.sin(math.pi / n)))
     if 0 < delta < 1:  # delta = 1 / cap; a NaN or infinite delta keeps csc^2(pi / n)
         cap_exp = min(max(cap_exp, round(-2 * math.log2(delta))), MAX_CAP_EXP)
     elif delta == 0:
@@ -243,15 +254,15 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> np.ndar
     if not u_pu > 0:
         return None
     lam = float(norm @ pg.real) / u_pu
-    return ((pg - lam * pu) * normal).view(float).reshape(n, 2)
+    return ((pg - lam * pu) * normal).view(float).reshape(n, 2), cap_exp > chord_exp
 
 
-def _trials(x: np.ndarray, d: np.ndarray, config: FlowConfig, momentum: dict | None):
-    """(trial points, h, momentum count after acceptance), in the order flow_step tries them."""
+def _trials(x: np.ndarray, d: np.ndarray, h0: float, momentum: dict | None):
+    """(trial points, h, momentum count after acceptance), in the order flow_step tries them; h0 the first plain step."""
     if momentum:
         k, h = momentum["k"], momentum["h"]
         yield x + (k / (k + 3)) * (x - momentum["points"]) - h * d, h, k + 1
-    h = config.step_size
+    h = h0
     for _ in range(MAX_HALVINGS + 1):
         yield x - h * d, h, 1  # a restart: this step is k = 0 of the new sequence
         h *= 0.5
@@ -271,12 +282,14 @@ def flow_step(
     FFT, and lam such that <u, d> = 0; where the winding names no regular
     polygon, or the curve has a cusp, d is g with its chord components scaled
     by cot^2(pi / n) (see the module docstring).  P leaves the stiffest mode
-    unchanged, so the largest stable step size is the same for d as for g.
-    The step is x - h d, backtracked (up to 20 halvings) if it
-    produces a zero edge, flips the enclosed area, or does not decrease the
-    length by a tenth of h <g, d>.  The convergence test and diagnostics
-    read g: diagnostics carries the pre-step gradient norm and the accepted
-    step size (None if converged or no acceptable step exists).
+    unchanged, so its Newton step at the regular n-gon is L / (4n).
+    The step is x - h d from h = min(config.step_size, L / (4n)), backtracked
+    (up to 20 halvings) if it produces a zero edge, flips the enclosed area,
+    or does not decrease the length by a tenth of h <g, d>, up to a round-off
+    slack of 1e-14 L.  The convergence test and diagnostics read g:
+    diagnostics carries the pre-step gradient norm, the accepted step size
+    (None if converged or no acceptable step exists) and the number of
+    trial point sets evaluated, "trials".
 
     momentum is the state run_flow threads from one step to the next, a dict
     updated in place (start with {}): the previous iterate's "points", the
@@ -284,8 +297,10 @@ def flow_step(
     backtracking last accepted.  With it, the step first tries
     x + k/(k+3) (x - x_prev) - h d under the same area homothety and length
     test; if that trial fails, momentum restarts: the step is the
-    backtracked one, and it is step k = 0 of the new sequence.  Without
-    momentum, only the backtracked step is taken.
+    backtracked one, and it is step k = 0 of the new sequence.  Near a
+    regular polygon (see _along_blocks), where config.step_size does not
+    clip the Newton step, the momentum trial is skipped and momentum
+    restarts.  Without momentum, only the backtracked step is taken.
     """
     gradient = length_gradients(curve)
     c, u, _ = _along_volume_gradient(curve, gradient)
@@ -296,6 +311,7 @@ def flow_step(
         "length": total_length(curve),
         "volume": enclosed_volume(curve),
         "step_size_used": None,
+        "trials": 0,
     }
     if gradnorm < config.grad_tolerance:
         return curve, diagnostics
@@ -303,14 +319,16 @@ def flow_step(
     if target_volume is None:
         target_volume = diagnostics["volume"]
     x, length = curve.points, diagnostics["length"]
-    d = _along_blocks(curve, g, u)
-    if d is None:
-        d = _along_chords(g, u, 1.0 / math.tan(math.pi / curve.n) ** 2)
+    d, near = _along_blocks(curve, g, u) or (_along_chords(g, u, 1.0 / math.tan(math.pi / curve.n) ** 2), False)
     slope = float((g * d).sum())
-    roundoff = 1e-14 * max(1.0, length)
+    roundoff = 1e-14 * length
+    newton = length / (4 * curve.n)
+    # near a regular polygon the plain Newton step is exact and momentum would overshoot it
+    exact = near and config.step_size >= newton
     # expected first-order decrease is h <g, d>; demand a tenth of it,
     # up to the round-off resolution of the length itself
-    for trial, h, k in _trials(x, d, config, momentum):
+    for trial, h, k in _trials(x, d, min(config.step_size, newton), None if exact else momentum):
+        diagnostics["trials"] += 1
         candidate = _accepted(curve, trial, target_volume, length - 0.1 * h * slope + roundoff)
         if candidate is not None:
             if momentum is not None:
@@ -322,6 +340,10 @@ def flow_step(
 
 def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTrajectory:
     """Iterate flow_step, with momentum, until the projected gradient falls below tolerance.
+
+    Each step starts at min(config.step_size, L / (4n)), the regular polygon's
+    Newton step, and tries momentum first except near a regular polygon,
+    where that Newton step is exact (see flow_step).
 
     Convergence hands the limit to classify_equilibrium with the recovered
     Lagrange multiplier; a step with no acceptable size degenerates the run.

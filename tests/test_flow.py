@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from polyvar import (
     turning_angles,
     volume_gradients,
 )
+from polyvar import flow
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
 from polyvar.flow import _along_blocks, _along_chords, _along_volume_gradient
 from polyvar.variation import _regular_hessian_blocks, _regular_hessian_spectrum
@@ -248,7 +251,7 @@ def test_run_flow_step_counts_pinned():
     # any change to the arithmetic of a step or to the momentum rule moves these counts
     runs = [run_flow(_perturbed_octagon(i), FlowConfig(step_size=0.2)) for i in range(5)]
     assert [t.verdict for t in runs] == ["converged"] * 5
-    assert [t.steps_taken for t in runs] == [5, 5, 5, 9, 5]
+    assert [t.steps_taken for t in runs] == [3, 3, 3, 3, 3]
 
 
 def test_plain_flow_step_counts_pinned():
@@ -264,14 +267,15 @@ def test_plain_flow_step_counts_pinned():
                 break
         assert diag["max_projected_gradient"] < config.grad_tolerance
         counts.append(step)
-    assert counts == [5, 5, 5, 5, 5]
+    assert counts == [3, 3, 3, 3, 3]
 
 
 def test_flow_step_momentum_state():
     """Each step either extends the momentum count or restarts it with exactly the plain step."""
-    # far enough from the regular 16-gon that its first 10 steps restart, extend and restart again
-    rng = np.random.default_rng([1, 16, 0])
-    curve = make_curve(regular_polygon(16).points + 0.5 * rng.standard_normal((16, 2)) / 16)
+    # far enough from the regular 16-gon that none of its first 10 steps is a Newton step
+    # (delta >= sin^2(pi / 16)), so each tries momentum: they restart twice, then extend
+    rng = np.random.default_rng([1, 16, 3])
+    curve = make_curve(regular_polygon(16).points + 1.0 * rng.standard_normal((16, 2)) / 16)
     config = FlowConfig(step_size=0.2)
     target = enclosed_volume(curve)
     momentum, kinds = {}, []
@@ -282,7 +286,9 @@ def test_flow_step_momentum_state():
         assert momentum["points"] is curve.points
         assert total_length(new) < diag["length"]
         if momentum["k"] == 1:  # a restart, the first step included
-            assert np.array_equal(new.points, plain.points) and diag == plain_diag
+            # the same step as the plain one, after the failed momentum trial (none on the first step)
+            assert np.array_equal(new.points, plain.points)
+            assert diag == {**plain_diag, "trials": plain_diag["trials"] + (k is not None)}
             assert momentum["h"] == diag["step_size_used"]
             kinds.append("restart")
         else:
@@ -420,6 +426,57 @@ def test_run_flow_benchmark_instance_n256():
     assert all(abs(snap.volume - volume0) < 1e-8 * abs(volume0) for snap in trajectory.snapshots)
 
 
+def test_run_flow_benchmark_instances_n4096():
+    """Instances (4096, 1) and (4096, 2) degenerated within two steps when every step first tried step_size = 0.2.
+
+    Once the first step leaves the curve rough, twenty halvings of 0.2 end at 1.9e-7, still
+    too long a step; twenty halvings of the Newton step L / (4n) = 3.8e-4 reach 3.7e-10.
+    """
+    n = 4096
+    for i in (1, 2):
+        rng = np.random.default_rng([0, n, i])
+        curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
+        volume0 = enclosed_volume(curve)
+        trajectory = run_flow(curve, FlowConfig(step_size=0.2, max_steps=1000))
+        _assert_regular_limit(trajectory, n)
+        assert all(abs(snap.volume - volume0) < 1e-8 * abs(volume0) for snap in trajectory.snapshots)
+
+
+def test_run_flow_scale_covariant_below_unit_size():
+    """The first trial L / (4n) and the round-off slack 1e-14 L scale with the curve: one step count from 1e-100 to 1e-3."""
+    rng = np.random.default_rng(0)
+    points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
+    steps = set()
+    for scale in (1e-100, 1e-12, 1e-8, 1e-6, 1e-3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory = run_flow(make_curve(points * scale), FlowConfig(max_steps=3000))
+        assert trajectory.verdict == "converged" and trajectory.report.is_equilibrium
+        steps.add(trajectory.steps_taken)
+    assert len(steps) == 1
+
+
+def test_run_flow_near_regular_takes_one_trial_per_step(monkeypatch):
+    """On the benchmark instances every step is the plain Newton step, accepted at its first trial."""
+    trials = []
+
+    def recording(*args, **kwargs):
+        new_curve, diagnostics = flow_step(*args, **kwargs)
+        if diagnostics["step_size_used"] is not None:
+            trials.append(diagnostics["trials"])
+        return new_curve, diagnostics
+
+    monkeypatch.setattr(flow, "flow_step", recording)
+    for n in (8, 16, 32, 64):
+        for i in range(3):
+            rng = np.random.default_rng([0, n, i])
+            curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
+            trials.clear()
+            trajectory = run_flow(curve, FlowConfig(step_size=0.2))
+            assert trajectory.verdict == "converged"
+            assert trials == [1] * trajectory.steps_taken
+
+
 def test_run_flow_leaves_the_input_bare():
     curve = _perturbed_octagon(0)
     run_flow(curve, FlowConfig(step_size=0.2))
@@ -473,7 +530,9 @@ def test_block_preconditioner_inverts_the_regular_hessian(n, m, sigma, reverse):
     hessian = _hessian(curve, lagrange_kappa(curve))
     _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
     unit = np.eye(2 * n)
-    step_map = np.column_stack([_along_blocks(curve, unit[i].reshape(n, 2), u).ravel() for i in range(2 * n)])
+    columns = [_along_blocks(curve, unit[i].reshape(n, 2), u) for i in range(2 * n)]
+    assert all(near for _, near in columns)  # delta = 0
+    step_map = np.column_stack([d.ravel() for d, _ in columns])
     assert np.allclose(step_map, step_map.T, rtol=0, atol=1e-12 * np.abs(step_map).max())
     low, high = _regular_hessian_spectrum(n, m)[3:]
     stiffest = max(np.abs(low).max(), np.abs(high).max()) / a
@@ -503,9 +562,10 @@ def test_block_preconditioned_direction(rng):
             curve = curve.with_points(curve.points[::-1])
         g = project_volume_preserving(curve, length_gradients(curve))
         _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
-        d = _along_blocks(curve, g, u)
-        if d is None:
+        blocks = _along_blocks(curve, g, u)
+        if blocks is None:
             continue
+        d, _ = blocks
         used += 1
         assert abs(float((d * u).sum())) <= 1e-12 * np.abs(d).max() * np.abs(u).sum()
         assert float((g * d).sum()) > 0
@@ -547,14 +607,15 @@ def _far_from_regular():
     return curves
 
 
-# steps of the curves with n <= 16 and of the stars: 864 in all (2,179 with the chord scaling alone)
+# steps of the curves with n <= 16 and of the stars: 720 in all (864 with every first trial at
+# step_size and momentum tried at every step, 2,179 with the chord scaling alone)
 FAR_STEPS = {
-    "6/0.1/0": 26, "6/0.1/1": 26, "6/0.1/2": 29, "6/0.3/0": 9, "6/0.3/1": 14, "6/0.3/2": 14,
-    "8/0.1/0": 5, "8/0.1/1": 11, "8/0.1/2": 5, "8/0.3/0": 30, "8/0.3/1": 13, "8/0.3/2": 20,
-    "12/0.1/0": 25, "12/0.1/1": 16, "12/0.1/2": 27, "12/0.3/0": 62, "12/0.3/1": 28, "12/0.3/2": 43,
-    "16/0.1/0": 8, "16/0.1/1": 13, "16/0.1/2": 11, "16/0.3/0": 55, "16/0.3/1": 55, "16/0.3/2": 58,
-    "(5, 2)/0": 35, "(5, 2)/1": 32, "(7, 2)/0": 38, "(7, 2)/1": 35, "(7, 3)/0": 28, "(7, 3)/1": 23,
-    "(9, 4)/0": 33, "(9, 4)/1": 37,
+    "6/0.1/0": 26, "6/0.1/1": 26, "6/0.1/2": 29, "6/0.3/0": 8, "6/0.3/1": 14, "6/0.3/2": 14,
+    "8/0.1/0": 4, "8/0.1/1": 4, "8/0.1/2": 4, "8/0.3/0": 12, "8/0.3/1": 10, "8/0.3/2": 10,
+    "12/0.1/0": 5, "12/0.1/1": 5, "12/0.1/2": 5, "12/0.3/0": 27, "12/0.3/1": 18, "12/0.3/2": 31,
+    "16/0.1/0": 5, "16/0.1/1": 10, "16/0.1/2": 6, "16/0.3/0": 34, "16/0.3/1": 116, "16/0.3/2": 52,
+    "(5, 2)/0": 35, "(5, 2)/1": 32, "(7, 2)/0": 38, "(7, 2)/1": 35, "(7, 3)/0": 24, "(7, 3)/1": 20,
+    "(9, 4)/0": 27, "(9, 4)/1": 34,
 }
 
 

@@ -278,15 +278,20 @@ def test_cli_degenerate_curve_exits_cleanly(name, command, tmp_path, capsys):
         assert err.startswith("polyvar: error:") and err.count("\n") == 1
 
 
-def test_cli_flow_overflowing_step_degenerates_quietly(tmp_path, capsys):
+def test_cli_flow_overflowing_step_converges_quietly(tmp_path, capsys):
+    """Every first trial is clipped to the Newton step L / (4n), so --step 1e200 runs as --step 1 does."""
     rng = np.random.default_rng(0)
     path = tmp_path / "hept.json"
     write_curve(make_curve(regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7), path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("flow", "--in", str(path), "--step", "1e200", "--out", str(tmp_path / "f")) == 0
-    err = capsys.readouterr().err
-    assert err.startswith("degenerated:") and "Warning" not in err
+    outputs = []
+    for step in ("1e200", "1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("flow", "--in", str(path), "--step", step, "--out", str(tmp_path / step)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("converged after") and "equilibrium=yes" in err and "Warning" not in err
+        outputs.append([err] + [(tmp_path / f"{step}{suffix}").read_bytes() for suffix in (".csv", ".svg")])
+    assert outputs[0] == outputs[1]
 
 
 def _square_file(tmp_path, side):

@@ -233,6 +233,22 @@ def test_residual_conditioning_falls_as_n_cubed():
     assert sigma == pytest.approx([0.224171, 0.0297007, 0.00376674, 0.000472549], rel=1e-5)
 
 
+def test_newton_step_of_the_regular_polygon():
+    """The stiffest |eigenvalue| of the convex regular n-gon's Hessian is 4 / l for even n, about 4 / l for odd n.
+
+    So the flow's Newton step along its block-preconditioned direction is l / 4 = L / (4n).
+    """
+    stiffest = {}
+    for n in range(3, 4097):
+        low, high = variation._regular_hessian_spectrum(n, 1)[3:]
+        stiffest[n] = max(np.abs(low).max(), np.abs(high).max()) * 2 * np.sin(np.pi / n)  # radius 1
+    even = np.array([stiffest[n] for n in range(4, 4097, 2)])
+    assert np.abs(even - 4).max() < 1e-14
+    odd = np.array([stiffest[n] for n in range(5, 4097, 2)])
+    assert stiffest[3] == pytest.approx(4.5, rel=1e-14) and odd[0] == pytest.approx(3.5244, abs=1e-4)
+    assert np.all(np.diff(odd) > 0) and odd[-1] < 4 and odd[-1] == pytest.approx(4, rel=1e-6)
+
+
 @pytest.mark.parametrize("n, least", [(8, 0.5), (16, 0.25)])
 def test_classify_slack_is_tight(n, least):
     """Along the slowest mode a just-passing residual spreads the edges by a fair share of the slack."""
