@@ -7,6 +7,9 @@ main alone writes each text to --out + suffix and, under --stdout, the first
 one to stdout.  stderr carries human-readable diagnostics.  No CuspWarning
 reaches it: the CLI reports cusps through its outputs (cusp_vertices in the
 analyze report) and its errors (exit 3 with CuspVertex).
+
+Each cmd_* imports the modules it runs, and the parser adds only the called
+subcommand's arguments, so a call loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -15,17 +18,8 @@ import argparse
 import sys
 import warnings
 
-import numpy as np
-
 from . import io as pio
-from . import svg
-from .curvature import SCHEMES
-from .curves import regular_polygon, total_length
 from .errors import CornerOverlap, CurveError, CuspWarning, EdgeCollapse
-from .flow import FlowConfig, lagrange_kappa, run_flow
-from .offsets import OFFSET_VARIANTS, _require_corners_away, offset_length, offset_polygon
-from .stability import certificate_coefficient, jacobi_spectrum
-from .variation import classify_equilibrium
 
 
 def _fail(message: str, code: int) -> int:
@@ -42,12 +36,17 @@ def _parse_int_range(text: str) -> range:
 
 
 def cmd_generate(args) -> dict[str, str]:
+    from .curves import regular_polygon
+
     curve = regular_polygon(args.n, args.m, a=args.a, phase=args.phase, sigma=args.sigma)
     print(f"generated regular polygon n={args.n} m={args.m} a={args.a}", file=sys.stderr)
     return {"": pio.curve_to_json(curve)}
 
 
 def cmd_analyze(args) -> dict[str, str]:
+    from .curvature import SCHEMES
+    from .variation import classify_equilibrium
+
     curve = pio.read_curve(args.input)
     schemes = SCHEMES if args.scheme == "all" else tuple(args.scheme.split(","))
     for scheme in schemes:
@@ -60,6 +59,8 @@ def cmd_analyze(args) -> dict[str, str]:
         if args.kappa is not None:
             kappa, source = args.kappa, "given"
         else:
+            from .flow import lagrange_kappa
+
             kappa, source = lagrange_kappa(curve), "estimated"
         report = classify_equilibrium(curve, kappa, tol=args.tol)
         equilibrium = pio.equilibrium_to_dict(report, source)
@@ -73,6 +74,10 @@ def cmd_analyze(args) -> dict[str, str]:
 
 
 def cmd_offset(args) -> dict[str, str]:
+    from . import svg
+    from .curves import total_length
+    from .offsets import _require_corners_away, offset_length, offset_polygon
+
     curve = pio.read_curve(args.input)
     t_values = [float(v) for v in args.t.split(",")]
     rows = []
@@ -105,6 +110,8 @@ def cmd_offset(args) -> dict[str, str]:
 
 
 def cmd_stability(args) -> dict[str, str]:
+    from .stability import certificate_coefficient, jacobi_spectrum
+
     rows = []
     for n in _parse_int_range(args.n):
         m_values = range(1, n) if args.m == "all" else [int(args.m)]
@@ -118,7 +125,7 @@ def cmd_stability(args) -> dict[str, str]:
                     n,
                     m,
                     spectrum.alpha,
-                    float(np.min(spectrum.eigenvalues)),
+                    float(spectrum.eigenvalues.min()),
                     spectrum.morse_index,
                     certificate_coefficient(n, m, a=args.a),
                 )
@@ -128,6 +135,9 @@ def cmd_stability(args) -> dict[str, str]:
 
 
 def cmd_flow(args) -> dict[str, str]:
+    from . import svg
+    from .flow import FlowConfig, run_flow
+
     curve = pio.read_curve(args.input)
     config = FlowConfig(step_size=args.step, max_steps=args.max_steps, grad_tolerance=args.tol)
     trajectory = run_flow(curve, config)
@@ -163,14 +173,7 @@ def cmd_flow(args) -> dict[str, str]:
     return {".csv": pio.csv_table(header, rows), ".svg": svg.render(layers)}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="polyvar",
-        description="Variational analysis of discrete (polygonal) planar curves.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a regular (star) polygon curve file")
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--m", type=int, default=1, help="winding parameter (default 1)")
     p.add_argument("--a", type=float, default=1.0, help="circumradius (default 1)")
@@ -180,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdout", action="store_true", help="write the curve file to stdout")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("analyze", help="per-vertex/per-edge table and equilibrium verdict")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="input", required=True, help="input curve file")
     p.add_argument("--scheme", default="all", help="comma-separated line-element schemes or 'all'")
     p.add_argument("--kappa", type=float, default=None, help="Lagrange multiplier (default: estimate)")
@@ -189,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("offset", help="offset family lengths, Steiner check, SVG overlay")
+
+def _offset_arguments(p: argparse.ArgumentParser) -> None:
+    from .offsets import OFFSET_VARIANTS
+
     p.add_argument("--in", dest="input", required=True, help="input curve file")
     p.add_argument("--t", required=True, help="comma-separated offset distances")
     p.add_argument("--variant", default="wedge", choices=OFFSET_VARIANTS)
@@ -197,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_offset)
 
-    p = sub.add_parser("stability", help="spectral stability sweep over regular polygons")
+
+def _stability_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, help="vertex count or range, e.g. 5..8")
     p.add_argument("--m", default="all", help="winding or 'all' (default)")
     p.add_argument("--a", type=float, default=1.0, help="circumradius (default 1)")
@@ -205,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("flow", help="area-constrained length descent")
+
+def _flow_arguments(p: argparse.ArgumentParser) -> None:
+    from .flow import FlowConfig
+
     p.add_argument("--in", dest="input", required=True, help="input curve file")
     p.add_argument("--step", type=float, default=FlowConfig.step_size, help="largest step size")
     p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
@@ -213,11 +224,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (.csv and .svg appended)")
     p.add_argument("--stdout", action="store_true", help="write the trajectory CSV to stdout")
     p.set_defaults(func=cmd_flow)
+
+
+_SUBCOMMANDS = {
+    "generate": ("write a regular (star) polygon curve file", _generate_arguments),
+    "analyze": ("per-vertex/per-edge table and equilibrium verdict", _analyze_arguments),
+    "offset": ("offset family lengths, Steiner check, SVG overlay", _offset_arguments),
+    "stability": ("spectral stability sweep over regular polygons", _stability_arguments),
+    "flow": ("area-constrained length descent", _flow_arguments),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of a call whose first argument is command.
+
+    Only that subcommand gets its arguments: the offset and flow arguments
+    take their choices and defaults from the offsets and flow modules, which
+    the other subcommands do not import.
+    """
+    parser = argparse.ArgumentParser(
+        prog="polyvar",
+        description="Variational analysis of discrete (polygonal) planar curves.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if not args.out and not args.stdout:
         return _fail("nothing to do: pass --out and/or --stdout", 2)
     try:

@@ -88,17 +88,22 @@ CLASSIFY_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """step_size is the largest step the flow tries: each plain step starts at min(step_size, L / (4n))."""
+    """step_size is the largest step the flow tries: each plain step starts at min(step_size, L / (4n)).
 
-    step_size: float = 0.1
+    The default step_size is no cap, so that every plain step starts at the
+    Newton step L / (4n), which scales with the curve.
+    """
+
+    step_size: float = math.inf
     max_steps: int = 20000
     grad_tolerance: float = 1e-8
     record_every: int = 10
 
     def __post_init__(self):
-        for name in ("step_size", "grad_tolerance"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        if not self.step_size > 0:  # NaN fails too
+            raise ValueError("step_size must be positive")
+        if not 0 < self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be finite and positive")
         for name, least in (("max_steps", 0), ("record_every", 1)):
             if operator.index(getattr(self, name)) < least:  # TypeError unless an integer
                 raise ValueError(f"{name} must be at least {least}")

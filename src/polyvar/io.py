@@ -13,10 +13,11 @@ that is not finite is written as an empty CSV cell or a JSON null.
 from __future__ import annotations
 
 import json
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curvature import SCHEMES, edge_curvatures, vertex_curvatures
 from .curves import (
     DiscreteCurve,
     cusp_vertices,
@@ -27,7 +28,9 @@ from .curves import (
     turning_number,
 )
 from .errors import CuspPresent, SchemeInapplicable
-from .variation import EquilibriumReport
+
+if TYPE_CHECKING:
+    from .variation import EquilibriumReport
 
 CURVE_FILE_VERSION = 1
 
@@ -42,7 +45,7 @@ def curve_to_json(curve: DiscreteCurve) -> str:
         "version": CURVE_FILE_VERSION,
         "closed": bool(curve.closed),
         "sigma": int(curve.sigma),
-        "points": [[float(x), float(y)] for x, y in curve.points],
+        "points": curve.points.tolist(),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -90,7 +93,7 @@ def read_curve(path) -> DiscreteCurve:
 
 def _number(value) -> float | None:
     """value as a float; None where it is None or not finite: an empty CSV cell, a JSON null."""
-    return None if value is None or not np.isfinite(value) else float(value)
+    return None if value is None or not math.isfinite(value) else float(value)
 
 
 def _cell(value) -> str:
@@ -111,20 +114,24 @@ def csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def analyze_table(curve: DiscreteCurve, schemes=SCHEMES) -> str:
+def analyze_table(curve: DiscreteCurve, schemes=None) -> str:
     """Per-vertex / per-edge CSV: k, l_k, theta_k, kappa per scheme, kappa_edge.
 
-    Cells are left empty where a quantity is undefined (open-curve boundary,
-    cusp vertices, arclength scheme on a non-uniform curve).
+    schemes defaults to every scheme in curvature.SCHEMES.  Cells are left
+    empty where a quantity is undefined (open-curve boundary, cusp vertices,
+    arclength scheme on a non-uniform curve).
     """
+    from .curvature import SCHEMES, edge_curvatures, vertex_curvatures
+
+    schemes = SCHEMES if schemes is None else schemes
     no_edge = [None] * (curve.n - curve.edge_count)  # the last vertex of an open curve
-    columns = [range(curve.n), [*edge_lengths(curve), *no_edge], turning_angles(curve)]
+    columns = [range(curve.n), edge_lengths(curve).tolist() + no_edge, turning_angles(curve).tolist()]
     for scheme in schemes:
         try:
-            columns.append(vertex_curvatures(curve, scheme))
+            columns.append(vertex_curvatures(curve, scheme).tolist())
         except SchemeInapplicable:
             columns.append([None] * curve.n)
-    columns.append([*edge_curvatures(curve), *no_edge])
+    columns.append(edge_curvatures(curve).tolist() + no_edge)
     header = ["k", "l_k", "theta_k", *(f"kappa_{s}" for s in schemes), "kappa_edge"]
     return csv_table(header, zip(*columns))
 
@@ -150,7 +157,7 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
         "closed": bool(curve.closed),
         "sigma": int(curve.sigma),
         "total_length": _number(total_length(curve)),
-        "cusp_vertices": [int(k) for k in cusp_vertices(curve)],
+        "cusp_vertices": cusp_vertices(curve).tolist(),
     }
     if curve.closed:
         with np.errstate(over="ignore"):  # an area beyond the float range is written as null

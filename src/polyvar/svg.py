@@ -62,14 +62,15 @@ def render(layers, comment=None) -> str:
     # flip the y axis so the plane's orientation matches the picture
     lines.append(f'<g transform="matrix(1 0 0 -1 0 {_num(lo[1] + hi[1])})">')
     for layer in layers:
-        coords = " ".join(f"{_num(x)},{_num(y)}" for x, y in layer.points)
+        points = layer.points.tolist()
+        coords = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
         tag = "polygon" if layer.closed else "polyline"
         lines.append(
             f'<{tag} points="{coords}" fill="none" stroke="{layer.color}" '
             f'stroke-width="{_num(stroke)}" stroke-opacity="{_num(layer.opacity)}"/>'
         )
         if layer.markers:
-            for x, y in layer.points:
+            for x, y in points:
                 lines.append(
                     f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{_num(marker_r)}" '
                     f'fill="{layer.color}"/>'

@@ -94,10 +94,11 @@ def test_flow_step_rectangle_descends():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(step_size=0.0)
-    for field in ("step_size", "grad_tolerance"):
-        for value in (-1.0, np.nan, np.inf):
+    for field, values in (("step_size", (-1.0, np.nan)), ("grad_tolerance", (-1.0, np.nan, np.inf))):
+        for value in values:
             with pytest.raises(ValueError, match=field):
                 FlowConfig(**{field: value})
+    assert FlowConfig().step_size == FlowConfig(step_size=np.inf).step_size == np.inf  # no cap
     with pytest.raises(ValueError, match="max_steps"):
         FlowConfig(max_steps=-1)
     with pytest.raises(ValueError, match="record_every"):
@@ -443,17 +444,20 @@ def test_run_flow_benchmark_instances_n4096():
 
 
 def test_run_flow_scale_covariant_below_unit_size():
-    """The first trial L / (4n) and the round-off slack 1e-14 L scale with the curve: one step count from 1e-100 to 1e-3."""
+    """The first trial L / (4n) and the round-off slack 1e-14 L scale with the curve: one step count from 1e-100 to 1e150.
+
+    The default step_size caps no step, so above unit size the Newton step is not clipped either.
+    """
     rng = np.random.default_rng(0)
     points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
     steps = set()
-    for scale in (1e-100, 1e-12, 1e-8, 1e-6, 1e-3):
+    for scale in (1e-100, 1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100, 1e150):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trajectory = run_flow(make_curve(points * scale), FlowConfig(max_steps=3000))
         assert trajectory.verdict == "converged" and trajectory.report.is_equilibrium
         steps.add(trajectory.steps_taken)
-    assert len(steps) == 1
+    assert steps == {6}
 
 
 def test_run_flow_near_regular_takes_one_trial_per_step(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -462,3 +463,54 @@ def test_cli_deterministic_across_runs(tmp_path):
             + (tmp_path / f"of_{tag}.svg").read_bytes()
         )
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of CLI outputs that no golden file covers: an open path, NaN cells at
+# a cusp, an empty arclength column, the opacity layers of a flow SVG, the arc
+# SVG's comment and a 4,096-vertex curve file.  Captured from the writers that
+# formatted one numpy scalar at a time, so the column-wise writers must match.
+OUTPUT_PINS = {
+    "big.json": "a1838243237a308ec05b38b60455faf07bf9f0e737749114afa658e21f02c075",
+    "cusp_analyze.csv": "4179e3a69598ea48e610dd2eeb661b7a97f9d9ff65e2eed5c8e54fb2750dac71",
+    "cusp_analyze.json": "b1c1d46b8becde064150095485ae2c477356276adb9fce2b33b9d06564ae25e7",
+    "hept_arc.csv": "235df5cf686b6ccb180bb55ee2ac46a7dcf5e6553635e2841ee1546d56c4031b",
+    "hept_arc.svg": "d3c4a25ce0893a45fbee8e659cd59a1a45b7ae6dc78e13997b32a52e46097494",
+    "hept_flow.csv": "5b3605a41251c3119091d77c850c7ad8656fa71ac27716a450c136950b971d6b",
+    "hept_flow.svg": "9d2a264589cc08dbf18e9dec6e702e325e47db0051f27cac3c7ccbfa39aed715",
+    "open_analyze.csv": "19ae8f794356ca6a3439365c4d5a2695399f09a83b87bee46de3140f8d2d56d3",
+    "open_analyze.json": "3a4f5a93d3767967059680dea15452b144a7d781985c520e4e9f91c73bae93e5",
+    "rect_analyze.csv": "125450a04f720eb39d8628720bbac4eb123df6d6f87c8554251fc5a39379b439",
+    "rect_analyze.json": "80d59f0892c89753c8daf4e2d1160805b48a68734b3da37b27403d6db6c16794",
+}
+
+PIN_INPUTS = {
+    "open": ([(0, 0), (1, 0), (1.5, 0.8), (1.2, 1.9), (0.3, 2.4)], False),
+    "cusp": ([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)], True),
+    "rect": ([(0, 0), (2, 0), (2, 1), (0, 1)], True),
+    "hept": ((regular_polygon(7).points + 0.05 * np.random.default_rng(0).standard_normal((7, 2)) / 7).tolist(), True),
+}
+
+PIN_CALLS = [
+    ("analyze", "--in", "open.json", "--out", "open_analyze"),
+    ("analyze", "--in", "cusp.json", "--out", "cusp_analyze"),
+    ("analyze", "--in", "rect.json", "--out", "rect_analyze"),
+    ("flow", "--in", "hept.json", "--step", "0.01", "--out", "hept_flow"),
+    ("offset", "--in", "hept.json", "--t", "0.1,0.3", "--variant", "arc", "--out", "hept_arc"),
+    ("generate", "--n", "4096", "--m", "3", "--phase", "0.3", "--out", "big.json"),
+]
+
+
+def test_cli_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, (points, closed) in PIN_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"version": 1, "closed": closed, "sigma": -1, "points": points})
+        )
+    for argv in PIN_CALLS:
+        assert run_cli(*argv) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+        if path.stem not in PIN_INPUTS
+    }
+    assert digests == OUTPUT_PINS
