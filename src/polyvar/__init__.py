@@ -48,8 +48,10 @@ _EXPORTS = {
         "conservation_vectors",
         "equilibrium_residual",
         "first_variation",
+        "lagrange_kappa",
         "length_gradient",
         "length_gradients",
+        "project_volume_preserving",
         "volume_gradient",
         "volume_gradients",
     ),
@@ -95,8 +97,6 @@ _EXPORTS = {
         "FlowSnapshot",
         "FlowTrajectory",
         "flow_step",
-        "lagrange_kappa",
-        "project_volume_preserving",
         "run_flow",
     ),
     "errors": (),

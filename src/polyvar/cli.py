@@ -45,7 +45,7 @@ def cmd_generate(args) -> dict[str, str]:
 
 def cmd_analyze(args) -> dict[str, str]:
     from .curvature import SCHEMES
-    from .variation import classify_equilibrium
+    from .variation import classify_equilibrium, lagrange_kappa
 
     curve = pio.read_curve(args.input)
     schemes = SCHEMES if args.scheme == "all" else tuple(args.scheme.split(","))
@@ -59,8 +59,6 @@ def cmd_analyze(args) -> dict[str, str]:
         if args.kappa is not None:
             kappa, source = args.kappa, "given"
         else:
-            from .flow import lagrange_kappa
-
             kappa, source = lagrange_kappa(curve), "estimated"
         report = classify_equilibrium(curve, kappa, tol=args.tol)
         equilibrium = pio.equilibrium_to_dict(report, source)

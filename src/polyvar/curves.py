@@ -20,11 +20,13 @@ read-only attribute (m = edge_count):
   chords          (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
   vertex_normals  (n, 2)  N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k),
                           NaN at cusps and open-curve ends
+  vertex_tangents (n, 2)  T_k = -R N_k, NaN where N_k is
   edge_curvatures (m,)    kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k,
                           NaN next to a cusp and on the end edges of an open curve
 
 The functions of the same names (here, in offsets and in curvature) return
-these arrays.
+these arrays.  _require_no_cusp is the one cusp rule of the readers that
+refuse a cusp: CuspVertex at the first cusp vertex.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
@@ -41,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    CuspPresent,
+    CuspVertex,
     CuspWarning,
     InvalidWinding,
     NonIntegerTurning,
@@ -200,6 +202,10 @@ class DiscreteCurve:
         return _frozen(out)
 
     @cached_property
+    def vertex_tangents(self) -> np.ndarray:
+        return _frozen(-rot90(self.vertex_normals, self.sigma))
+
+    @cached_property
     def edge_curvatures(self) -> np.ndarray:
         th0, th1 = _edge_endpoint_angles(self)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -313,6 +319,12 @@ def cusp_vertices(curve: DiscreteCurve) -> np.ndarray:
     return np.flatnonzero(curve.cusp_mask)
 
 
+def _require_no_cusp(curve: DiscreteCurve):
+    cusps = cusp_vertices(curve)
+    if cusps.size:
+        raise CuspVertex(int(cusps[0]))
+
+
 def total_length(curve: DiscreteCurve) -> float:
     return float(curve.edge_lengths.sum())
 
@@ -338,11 +350,10 @@ def _signed_area(points: np.ndarray, sigma: int) -> float:
 
 
 def turning_number(curve: DiscreteCurve) -> int:
-    """Integer m with sum(theta_k) = 2*pi*m."""
+    """Integer m with sum(theta_k) = 2*pi*m; CuspVertex (a CuspPresent) at the first cusp."""
     if not curve.closed:
         raise OpenCurve("turning number requires a closed curve")
-    if curve.cusp_mask.any():
-        raise CuspPresent("turning number undefined with cusp vertices")
+    _require_no_cusp(curve)
     total = float(turning_angles(curve).sum())
     m = round(total / (2.0 * np.pi))
     if abs(total - 2.0 * np.pi * m) > TURNING_RESIDUAL_TOL:

@@ -37,7 +37,11 @@ class OpenCurve(ValidationError):
     pass
 
 
-class CuspVertex(DegeneracyError):
+class CuspPresent(DegeneracyError):
+    pass
+
+
+class CuspVertex(CuspPresent):
     def __init__(self, k):
         super().__init__(f"vertex {k} is a cusp (turning angle = pi)")
         self.k = k
@@ -47,10 +51,6 @@ class CuspAdjacent(DegeneracyError):
     def __init__(self, k):
         super().__init__(f"edge {k} has a cusp endpoint")
         self.k = k
-
-
-class CuspPresent(DegeneracyError):
-    pass
 
 
 class NonIntegerTurning(DegeneracyError):

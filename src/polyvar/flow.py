@@ -4,7 +4,8 @@ Each step projects the length gradient onto the volume-preserving subspace
 (orthogonal complement of the area gradient in configuration space), moves
 the vertices, and restores the enclosed area exactly by a homothety about the
 vertex centroid (area is quadratic under scaling, so the correct factor is
-sqrt(target / current)).
+sqrt(target / current)).  The projection and the multiplier kappa are
+variation's (project_volume_preserving, lagrange_kappa); flow re-exports them.
 
 The step direction is d = P (g - lam u): g the projected gradient, u the area
 gradient, lam the multiplier that makes <u, d> = 0 (so d preserves the area
@@ -64,14 +65,16 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import DiscreteCurve, _dot, _signed_area, enclosed_volume, rot90, total_length, turning_number
-from .errors import CuspPresent, NonIntegerTurning, OpenCurve, ZeroEdge, ZeroVolumeGradient
+from .errors import CuspPresent, NonIntegerTurning, OpenCurve, ZeroEdge
 from .variation import (
     EquilibriumReport,
+    _along_volume_gradient,
     _names_regular_polygon,
     _regular_hessian_spectrum,
     classify_equilibrium,
+    lagrange_kappa,
     length_gradients,
-    volume_gradients,
+    project_volume_preserving,
 )
 
 MAX_HALVINGS = 20
@@ -126,44 +129,6 @@ class FlowTrajectory:
     report: EquilibriumReport | None = None
     reason: str | None = None
     kappa_estimate: float | None = None
-
-
-def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
-    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e and 2^e > diameter >= 2^(e-1).
-
-    Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
-    (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
-    overflow or underflow of |gradVol|^2 at the ends of the float range
-    (|gradVol_k| = |p_{k+1} - p_{k-1}| / 2 <= diameter / 2).
-    ZeroVolumeGradient if |gradVol| is at most 1e-14 of the curve's diameter.
-    """
-    diameter = curve.diameter()
-    e = math.frexp(diameter)[1]
-    u = np.ldexp(volume_gradients(curve), -e)
-    u_norm_sq = float((u * u).sum())
-    if not u_norm_sq > math.ldexp(1e-14 * diameter, -e) ** 2:
-        raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
-    return float((field * u).sum()) / u_norm_sq, u, e
-
-
-def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
-    """Remove the component of the field along the area gradient.
-
-    The result w satisfies first_variation(curve, w, "volume") = 0 up to
-    round-off.
-    """
-    v = np.asarray(field, dtype=float)
-    c, u, _ = _along_volume_gradient(curve, v)
-    return v - c * u
-
-
-def lagrange_kappa(curve: DiscreteCurve) -> float:
-    """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
-    c, _, e = _along_volume_gradient(curve, length_gradients(curve))
-    try:
-        return -math.ldexp(c, -e)
-    except OverflowError:  # |kappa| ~ 1 / diameter, beyond the float range below about 1e-308
-        raise ZeroVolumeGradient("area gradient too small: kappa overflows") from None
 
 
 def _accepted(curve: DiscreteCurve, trial: np.ndarray, target_volume: float, bound: float):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import edge_curvatures
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, cusp_vertices, rot90
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_no_cusp, _value_at
 from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
@@ -42,8 +41,8 @@ def vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
 
 
 def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
-    """T_k = -R N_k; orthogonal to N_k with the same norm."""
-    return -rot90(vertex_normals(curve), curve.sigma)
+    """T_k = -R N_k; orthogonal to N_k with the same norm.  Read-only, computed once per curve."""
+    return curve.vertex_tangents
 
 
 def vertex_tangent(curve: DiscreteCurve, k: int) -> np.ndarray:
@@ -65,12 +64,6 @@ def weighted_vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
     return _value_at(curve, weighted_vertex_normals(curve), k)
 
 
-def _require_no_cusp(curve: DiscreteCurve):
-    cusps = cusp_vertices(curve)
-    if cusps.size:
-        raise CuspVertex(int(cusps[0]))
-
-
 def _check_offset(curve: DiscreteCurve, t: float, open_message: str):
     """Reject a distance t that is not finite, then an open curve."""
     if not np.isfinite(t):
@@ -87,7 +80,7 @@ def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.nda
     """
     _check_offset(curve, t, open_message)
     _require_no_cusp(curve)
-    factors = 1.0 - t * edge_curvatures(curve)
+    factors = 1.0 - t * curve.edge_curvatures
     collapsing = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
     if collapsing.size:
         raise EdgeCollapse(int(collapsing[0]))
@@ -197,8 +190,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
 def frenet_edge_residuals(curve: DiscreteCurve) -> np.ndarray:
     """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero."""
     N, N_next = _at_edges(curve, vertex_normals(curve))
-    kap = edge_curvatures(curve)
-    return (N_next - N) / curve.edge_lengths[:, None] + kap[:, None] * curve.tangents
+    return (N_next - N) / curve.edge_lengths[:, None] + curve.edge_curvatures[:, None] * curve.tangents
 
 
 def frenet_edge_residual(curve: DiscreteCurve, k: int) -> np.ndarray:

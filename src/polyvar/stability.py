@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, rot90
+from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, _require_no_cusp, rot90
 from .errors import MeanNotZero, NotEquilibrium, OpenCurve
-from .offsets import _require_no_cusp, vertex_normals, vertex_tangents
 from .variation import _check_field, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
@@ -69,9 +68,9 @@ class NormalTangentField(NamedTuple):
 
 def _vertex_frame(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     """(N_k, T_k); NaN rows at open ends, CuspVertex at a cusp."""
-    N = vertex_normals(curve)  # first, so that a cusp curve warns as other readers do
+    N = curve.vertex_normals  # first, so that a cusp curve warns as other readers do
     _require_no_cusp(curve)
-    return N, vertex_tangents(curve)
+    return N, curve.vertex_tangents
 
 
 def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:

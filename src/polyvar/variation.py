@@ -6,17 +6,20 @@ The per-vertex residual ``A_k = (nu_k - nu_{k-1}) + (kappa/2)(p_{k+1} - p_{k-1})
 vanishes iff the curve is critical, and the per-edge vectors
 ``c_k = nu_k + (kappa/2)(p_{k+1} + p_k)`` are constant there (a conservation
 law: with c = 0 the edge midpoints are tangent to the circle of radius 1/|kappa|).
+On any closed curve, lagrange_kappa is the least-squares multiplier and
+project_volume_preserving removes a field's component along the area gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, rot90, turning_number
-from .errors import InternalInconsistency, KappaZero, OpenCurve
+from .errors import InternalInconsistency, KappaZero, OpenCurve, ZeroVolumeGradient
 
 
 def length_gradients(curve: DiscreteCurve) -> np.ndarray:
@@ -70,6 +73,44 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
         grad = grad[1:-1]
         v = v[1:-1]
     return float(np.sum(grad * v))
+
+
+def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
+    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e and 2^e > diameter >= 2^(e-1).
+
+    Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
+    (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
+    overflow or underflow of |gradVol|^2 at the ends of the float range
+    (|gradVol_k| = |p_{k+1} - p_{k-1}| / 2 <= diameter / 2).
+    ZeroVolumeGradient if |gradVol| is at most 1e-14 of the curve's diameter.
+    """
+    diameter = curve.diameter()
+    e = math.frexp(diameter)[1]
+    u = np.ldexp(volume_gradients(curve), -e)
+    u_norm_sq = float((u * u).sum())
+    if not u_norm_sq > math.ldexp(1e-14 * diameter, -e) ** 2:
+        raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
+    return float((field * u).sum()) / u_norm_sq, u, e
+
+
+def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
+    """Remove the component of the field along the area gradient.
+
+    The result w satisfies first_variation(curve, w, "volume") = 0 up to
+    round-off.
+    """
+    v = np.asarray(field, dtype=float)
+    c, u, _ = _along_volume_gradient(curve, v)
+    return v - c * u
+
+
+def lagrange_kappa(curve: DiscreteCurve) -> float:
+    """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
+    c, _, e = _along_volume_gradient(curve, length_gradients(curve))
+    try:
+        return -math.ldexp(c, -e)
+    except OverflowError:  # |kappa| ~ 1 / diameter, beyond the float range below about 1e-308
+        raise ZeroVolumeGradient("area gradient too small: kappa overflows") from None
 
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:

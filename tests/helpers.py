@@ -76,45 +76,51 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by Jacobi rotations, sorted.
+def jacobi_eigenvalues(matrices: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each of a stack (b, n, n) of them, by Jacobi rotations, sorted.
 
     Parallel ordering (Brent & Luk, 1985): a sweep is the n - 1 rounds of a
     round robin, and the n/2 disjoint rotations of a round are applied in one
-    array step.  The diagonal takes Rutishauser's update a_pp - t a_pq,
-    a_qq + t a_pq, and the pivot is set to exactly zero.
+    array step, to every matrix of the stack at once.  The diagonal takes
+    Rutishauser's update a_pp - t a_pq, a_qq + t a_pq, and the pivot is set
+    to exactly zero.  Sweeps stop once every matrix is diagonal to round-off.
     """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    scale = np.sqrt(np.sum(a * a)) + 1.0
+    a = np.array(matrices, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    n = a.shape[-1]
+    scale = (np.sqrt(np.sum(a * a, axis=(1, 2))) + 1.0)[:, None]
+    below = np.tril_indices(n, -1)
     rounds = _round_robin(n)
     for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale:
+        off = np.sqrt(2.0 * np.sum(a[:, below[0], below[1]] ** 2, axis=1))
+        if np.all(off <= 1e-15 * scale[:, 0]):
             break
         for p, q in rounds:
-            apq = a[p, q]
-            app = a[p, p]
-            aqq = a[q, q]
+            apq = a[:, p, q]
+            app = a[:, p, p]
+            aqq = a[:, q, q]
             rotate = np.abs(apq) > 1e-18 * scale
             tau = 0.5 * (aqq - app) / np.where(rotate, apq, 1.0)
             t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             t = np.where(rotate, t, 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            rp = a[p, :]
-            rq = a[q, :]
-            a[p, :] = c[:, None] * rp - s[:, None] * rq
-            a[q, :] = s[:, None] * rp + c[:, None] * rq
-            cp = a[:, p]
-            cq = a[:, q]
-            a[:, p] = c * cp - s * cq
-            a[:, q] = s * cp + c * cq
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-    return np.sort(np.diag(a))
+            rp = a[:, p, :]
+            rq = a[:, q, :]
+            a[:, p, :] = c[..., None] * rp - s[..., None] * rq
+            a[:, q, :] = s[..., None] * rp + c[..., None] * rq
+            cp = a[:, :, p]
+            cq = a[:, :, q]
+            a[:, :, p] = c[:, None] * cp - s[:, None] * cq
+            a[:, :, q] = s[:, None] * cp + c[:, None] * cq
+            a[:, p, p] = app - t * apq
+            a[:, q, q] = aqq + t * apq
+            a[:, p, q] = 0.0
+            a[:, q, p] = 0.0
+    values = np.sort(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    return values[0] if single else values
 
 
 def random_star_polygon(rng, n: int, sigma: int = -1) -> DiscreteCurve:

@@ -23,6 +23,7 @@ from polyvar import (
 from polyvar.curves import _dot, _signed_area
 from polyvar.errors import (
     CuspPresent,
+    CuspVertex,
     CuspWarning,
     InvalidWinding,
     NonIntegerTurning,
@@ -201,8 +202,11 @@ def test_turning_numbers(sq, pent52):
 def test_turning_number_cusp_rejected():
     spike = make_curve([(0, 0), (1, 0), (2, 0), (1, 0.0), (0.5, 1)], closed=True)
     # vertices 1..3 trace out-and-back along the x axis: vertex 2 is a cusp
-    with pytest.raises(CuspPresent):
+    with pytest.raises(CuspVertex) as raised:
         turning_number(spike)
+    # the one cusp rule of the curve, still caught as CuspPresent
+    assert isinstance(raised.value, CuspPresent)
+    assert raised.value.k == 2 and str(raised.value) == "vertex 2 is a cusp (turning angle = pi)"
 
 
 def test_regular_polygon_uniformity():
@@ -252,7 +256,7 @@ def test_cached_arrays_are_read_only(sq):
     assert np.array_equal(edge_lengths(sq), before)
     assert edge_lengths(sq) is lengths  # computed once per curve
     cached = (sq.points, sq.edge_vectors, sq.tangents, sq.edge_normals, sq.turning_angles, sq.cusp_mask, sq.chords,
-              sq.vertex_normals, sq.edge_curvatures)
+              sq.vertex_normals, sq.vertex_tangents, sq.edge_curvatures)
     for values in cached:
         assert not values.flags.writeable
     for public in (pv.vertex_normals, pv.edge_curvatures):

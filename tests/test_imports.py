@@ -93,15 +93,35 @@ print(json.dumps({
     assert report["unknown"] is False
 
 
+# the polyvar modules that importing each library module alone loads, itself included:
+# a module imports the modules that own what it reads, and no other
+MODULE_GRAPH = {
+    "curves": {"curves", "errors"},
+    "variation": {"curves", "errors", "variation"},
+    "curvature": {"curves", "errors", "variation", "curvature"},
+    "offsets": {"curves", "errors", "offsets"},
+    "stability": {"curves", "errors", "variation", "stability"},
+    "flow": {"curves", "errors", "variation", "flow"},
+    "io": {"curves", "errors", "io"},
+}
+
+
+@pytest.mark.parametrize("module", MODULE_GRAPH)
+def test_library_module_loads_only_its_imports(module):
+    loaded = _run_python(
+        f"import json, sys; import polyvar.{module}; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('polyvar.')]))"
+    )
+    assert {name.split(".", 1)[1] for name in loaded} == MODULE_GRAPH[module]
+
+
 # the polyvar modules each subcommand loads (the CLI itself runs as __main__)
 BASE = {"polyvar", "polyvar.curves", "polyvar.errors", "polyvar.io"}
 SUBCOMMAND_MODULES = {
     "generate": (["--n", "4"], BASE),
-    "analyze": (["--in", "sq.json"], BASE | {"polyvar.curvature", "polyvar.variation", "polyvar.flow"}),
-    "offset": (["--in", "sq.json", "--t", "0.1"],
-               BASE | {"polyvar.curvature", "polyvar.variation", "polyvar.offsets", "polyvar.svg"}),
-    "stability": (["--n", "5"],
-                  BASE | {"polyvar.curvature", "polyvar.variation", "polyvar.offsets", "polyvar.stability"}),
+    "analyze": (["--in", "sq.json"], BASE | {"polyvar.curvature", "polyvar.variation"}),
+    "offset": (["--in", "sq.json", "--t", "0.1"], BASE | {"polyvar.offsets", "polyvar.svg"}),
+    "stability": (["--n", "5"], BASE | {"polyvar.variation", "polyvar.stability"}),
     "flow": (["--in", "sq.json"], BASE | {"polyvar.variation", "polyvar.flow", "polyvar.svg"}),
 }
 

@@ -191,7 +191,8 @@ def test_cli_cusp_curve_prints_no_warning(command, code, tmp_path, capsys):
     err = capsys.readouterr().err
     if command[0] == "analyze":
         assert "Warning" not in err
-        assert json.loads((tmp_path / "out.json").read_text())["cusp_vertices"] == [2]
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["cusp_vertices"] == [2] and report["turning_number"] is None
     elif code:
         assert err.startswith("polyvar: error: vertex 2 is a cusp") and err.count("\n") == 1
     else:  # the cusp turns toward the offset, which the segment and arc formulas do not describe

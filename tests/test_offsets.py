@@ -16,6 +16,7 @@ from polyvar import (
     offset_polygon,
     parallel_curve,
     regular_polygon,
+    rot90,
     steiner_report,
     total_length,
     vertex_normal,
@@ -169,16 +170,21 @@ def test_offset_readers_share_the_cached_arrays(rng):
     reconstruct_field(curve, parts.psi, parts.eta)
     assert vertex_normals(curve) is normals
     assert edge_curvatures(curve) is kappa_e
+    tangents = vertex_tangents(curve)
+    assert vertex_tangents(curve) is tangents
+    assert not tangents.flags.writeable
+    assert tangents.tobytes() == (-rot90(normals, curve.sigma)).tobytes()
 
 
 def test_steiner_report_checks_once_in_order(monkeypatch, sq):
     calls = []
+    offset_factors = polyvar.offsets._offset_factors
 
-    def counted(curve):
+    def counted(curve, t, open_message):
         calls.append(curve)
-        return edge_curvatures(curve)
+        return offset_factors(curve, t, open_message)
 
-    monkeypatch.setattr(polyvar.offsets, "edge_curvatures", counted)
+    monkeypatch.setattr(polyvar.offsets, "_offset_factors", counted)
     steiner_report(sq, 0.1)
     assert len(calls) == 1
     # an open cusp curve is rejected as open; a closed one as a cusp, before
