@@ -47,7 +47,7 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
             custom[0] = custom[-1] = np.nan
         return custom
 
-    l_prev, l_next = _at_vertices(curve, curve.edge_lengths)
+    l_prev, l_next = _at_vertices(curve.closed, curve.edge_lengths)
     if scheme == "hatakeyama":
         return np.where(np.isnan(l_next), np.nan, l_prev)  # NaN at both open ends
     if scheme == "half_edge_sum":
@@ -129,7 +129,7 @@ def edge_curvature(curve: DiscreteCurve, k: int) -> float:
 
 def discrete_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
     """Edge-based gradient (psi_{k+1} - psi_k) / l_k."""
-    psi, psi_next = _at_edges(curve, np.asarray(psi, dtype=float))
+    psi, psi_next = _at_edges(curve.closed, np.asarray(psi, dtype=float))
     return (psi_next - psi) / curve.edge_lengths
 
 
@@ -138,7 +138,7 @@ def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
 
     NaN at the boundary vertices of an open curve.
     """
-    g_prev, g = _at_vertices(curve, discrete_gradient(curve, psi))
+    g_prev, g = _at_vertices(curve.closed, discrete_gradient(curve, psi))
     return (g - g_prev) / line_elements(curve, scheme)
 
 

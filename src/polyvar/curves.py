@@ -25,8 +25,10 @@ read-only attribute (m = edge_count):
                           NaN next to a cusp and on the end edges of an open curve
 
 The functions of the same names (here, in offsets and in curvature) return
-these arrays.  _require_no_cusp is the one cusp rule of the readers that
-refuse a cusp: CuspVertex at the first cusp vertex.
+these arrays, and each is computed by one array helper (_edge_vectors,
+_norms, _tangents, _chords, _turning_angles, _signed_area), which the flow
+also calls on its points.  _require_no_cusp is the one cusp rule of the
+readers that refuse a cusp: CuspVertex at the first cusp vertex.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
@@ -140,23 +142,19 @@ class DiscreteCurve:
 
     @cached_property
     def _diameter(self) -> float:
-        xy = np.ascontiguousarray(self.points.T)  # reduce along the long axis
-        span = xy.max(axis=1) - xy.min(axis=1)
-        return float(np.hypot(span[0], span[1]))
+        return _bounding_diagonal(self.points)
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
-        starts, ends = _at_edges(self, self.points)
-        return _frozen(ends - starts)
+        return _frozen(_edge_vectors(self.points, self.closed))
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = self.edge_vectors
-        return _frozen(np.hypot(e[:, 0], e[:, 1]))
+        return _frozen(_norms(self.edge_vectors))
 
     @cached_property
     def tangents(self) -> np.ndarray:
-        return _frozen(self.edge_vectors / self.edge_lengths[:, None])
+        return _frozen(_tangents(self.edge_vectors, self.edge_lengths))
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -164,22 +162,13 @@ class DiscreteCurve:
 
     @cached_property
     def chords(self) -> np.ndarray:
-        # p_{k+1} ends edge k and p_{k-1} starts edge k-1
-        starts, ends = _at_edges(self, self.points)
-        if not self.closed:
-            ends = _at_vertices(self, ends)[1]
-        return _frozen(ends - _at_vertices(self, starts)[0])
+        return _frozen(_chords(self.points, self.closed))
 
     @cached_property
     def _snapped_angles(self):
         """(theta, cusp mask), theta already snapped to pi at cusps."""
-        prev, cur = _at_vertices(self, self.tangents)
-        cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
-        dot = _dot(prev, cur)
-        theta = self.sigma * np.arctan2(cross, dot)
-        with np.errstate(invalid="ignore"):
-            cusp = 1.0 + np.cos(theta) <= CUSP_TOL
-        theta[cusp] = np.pi
+        with np.errstate(invalid="ignore"):  # NaN where an open curve ends
+            theta, cusp = _turning_angles(self.tangents, self.sigma, self.closed)
         return _frozen(theta), _frozen(cusp)
 
     @property
@@ -195,7 +184,7 @@ class DiscreteCurve:
 
     @cached_property
     def vertex_normals(self) -> np.ndarray:
-        nu_prev, nu = _at_vertices(self, self.edge_normals)
+        nu_prev, nu = _at_vertices(self.closed, self.edge_normals)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = (nu + nu_prev) / (1.0 + np.cos(self.turning_angles))[:, None]
         out[~np.isfinite(out)] = np.nan
@@ -212,24 +201,62 @@ class DiscreteCurve:
             return _frozen((np.tan(0.5 * th0) + np.tan(0.5 * th1)) / self.edge_lengths)
 
 
-def _at_vertices(curve: DiscreteCurve, per_edge: np.ndarray):
+def _at_vertices(closed: bool, per_edge: np.ndarray):
     """(a_{k-1}, a_k) at every vertex k; a NaN row where an open curve ends."""
-    if curve.closed:  # np.roll(per_edge, 1, axis=0), at a fraction of its overhead
+    if closed:  # np.roll(per_edge, 1, axis=0), at a fraction of its overhead
         return np.concatenate([per_edge[-1:], per_edge[:-1]]), per_edge
     pad = np.full((1,) + per_edge.shape[1:], np.nan)
     return np.concatenate([pad, per_edge]), np.concatenate([per_edge, pad])
 
 
-def _at_edges(curve: DiscreteCurve, per_vertex: np.ndarray):
+def _at_edges(closed: bool, per_vertex: np.ndarray):
     """(a_k, a_{k+1}) at the two end vertices of every edge k."""
-    if curve.closed:
+    if closed:
         return per_vertex, np.concatenate([per_vertex[1:], per_vertex[:1]])
     return per_vertex[:-1], per_vertex[1:]
 
 
+def _bounding_diagonal(points: np.ndarray) -> float:
+    xy = np.ascontiguousarray(points.T)  # reduce along the long axis
+    span = xy.max(axis=1) - xy.min(axis=1)
+    return float(np.hypot(span[0], span[1]))
+
+
+def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
+    starts, ends = _at_edges(closed, points)
+    return ends - starts
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """|v_k| of every row of an (m, 2) array."""
+    return np.hypot(vectors[:, 0], vectors[:, 1])
+
+
+def _tangents(edges: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    return edges / lengths[:, None]
+
+
+def _chords(points: np.ndarray, closed: bool) -> np.ndarray:
+    # p_{k+1} ends edge k and p_{k-1} starts edge k-1
+    starts, ends = _at_edges(closed, points)
+    if not closed:
+        ends = _at_vertices(closed, ends)[1]
+    return ends - _at_vertices(closed, starts)[0]
+
+
+def _turning_angles(tangents: np.ndarray, sigma: int, closed: bool):
+    """(theta, cusp mask) from the unit edge directions, theta snapped to pi at cusps."""
+    prev, cur = _at_vertices(closed, tangents)
+    cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
+    theta = sigma * np.arctan2(cross, _dot(prev, cur))
+    cusp = 1.0 + np.cos(theta) <= CUSP_TOL
+    theta[cusp] = np.pi
+    return theta, cusp
+
+
 def _edge_endpoint_angles(curve: DiscreteCurve):
     """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
-    return _at_edges(curve, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
+    return _at_edges(curve.closed, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
 
 
 def _value_at(curve: DiscreteCurve, values: np.ndarray, k: int, undefined=None):
@@ -319,10 +346,10 @@ def cusp_vertices(curve: DiscreteCurve) -> np.ndarray:
     return np.flatnonzero(curve.cusp_mask)
 
 
-def _require_no_cusp(curve: DiscreteCurve):
-    cusps = cusp_vertices(curve)
-    if cusps.size:
-        raise CuspVertex(int(cusps[0]))
+def _require_no_cusp(cusp: np.ndarray):
+    """CuspVertex at the first vertex of the cusp mask."""
+    if cusp.any():
+        raise CuspVertex(int(cusp.argmax()))
 
 
 def total_length(curve: DiscreteCurve) -> float:
@@ -353,8 +380,13 @@ def turning_number(curve: DiscreteCurve) -> int:
     """Integer m with sum(theta_k) = 2*pi*m; CuspVertex (a CuspPresent) at the first cusp."""
     if not curve.closed:
         raise OpenCurve("turning number requires a closed curve")
-    _require_no_cusp(curve)
-    total = float(turning_angles(curve).sum())
+    return _turning_number(*curve._snapped_angles)
+
+
+def _turning_number(theta: np.ndarray, cusp: np.ndarray) -> int:
+    """turning_number from _turning_angles of a closed curve."""
+    _require_no_cusp(cusp)
+    total = float(theta.sum())
     m = round(total / (2.0 * np.pi))
     if abs(total - 2.0 * np.pi * m) > TURNING_RESIDUAL_TOL:
         raise NonIntegerTurning(f"angle sum {total} is not a multiple of 2*pi")

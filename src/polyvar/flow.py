@@ -50,9 +50,17 @@ step is the plain one.  Near a regular polygon (the block inverse's cap
 above the chord scaling's, i.e. delta < sin^2(pi / n)) with step_size not
 clipping the Newton step, the plain Newton step is exact and momentum would
 overshoot it: the step skips the momentum trial and restarts k.  So the
-length falls at every step and the area is restored exactly.  At convergence
-the Lagrange multiplier is recovered by least squares and the limit is
-classified as an equilibrium.
+length falls at every step and the area is restored exactly.
+
+_step is the one step, written on arrays: the points, their edges and their
+lengths go in, and the accepted trial's come out.  It runs at the curve's own
+power of two, on the points times 2^-e with 2^e > diameter >= 2^(e-1):
+scaling by a power of two is exact, so every point keeps the bits it has at
+the curve's own scale, while the areas, of order 1, neither under- nor
+overflow at any scale.  run_flow takes e from the starting curve, iterates
+_step on one set of arrays and builds a curve only for each snapshot; at
+convergence the last step's multiplier is kappa and the last snapshot is
+classified as an equilibrium.  flow_step is one step on a curve.
 """
 
 from __future__ import annotations
@@ -64,18 +72,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _dot, _signed_area, enclosed_volume, rot90, total_length, turning_number
-from .errors import CuspPresent, NonIntegerTurning, OpenCurve, ZeroEdge
-from .variation import (
-    EquilibriumReport,
-    _along_volume_gradient,
-    _names_regular_polygon,
-    _regular_hessian_spectrum,
-    classify_equilibrium,
-    lagrange_kappa,
-    length_gradients,
-    project_volume_preserving,
-)
+from .curves import DiscreteCurve, _bounding_diagonal, _chords, _dot, _edge_vectors, _norms, _signed_area, _tangents
+from .curves import _turning_angles, _turning_number, enclosed_volume, rot90, total_length
+from .errors import CuspPresent, NonIntegerTurning, OpenCurve
+from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
+from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
+from .variation import lagrange_kappa, project_volume_preserving  # re-exported
 
 MAX_HALVINGS = 20
 
@@ -114,6 +116,13 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowSnapshot:
+    """The curve at a step, its length and area, and its largest |g_k|.
+
+    The area is taken at the flow's scale and scaled back: volume is
+    enclosed_volume(curve) to the bit wherever that neither over- nor
+    underflows, and 0 or inf only where the area is outside the float range.
+    """
+
     step: int
     curve: DiscreteCurve
     length: float
@@ -126,26 +135,28 @@ class FlowTrajectory:
     snapshots: list[FlowSnapshot]
     verdict: str  # "converged" | "max_steps" | "degenerated"
     steps_taken: int
+    trials: np.ndarray  # per step taken: the trial point sets evaluated
+    step_sizes: np.ndarray  # per step taken: the accepted step size h
     report: EquilibriumReport | None = None
     reason: str | None = None
     kappa_estimate: float | None = None
 
 
-def _accepted(curve: DiscreteCurve, trial: np.ndarray, target_volume: float, bound: float):
-    """The trial points, rescaled about their centroid to the target area, as a curve.
+def _accepted(trial: np.ndarray, sigma: int, target: float, bound: float):
+    """(points, edges, lengths) of the trial points rescaled about their centroid to the target area.
 
     None if the trial's area is zero, of the wrong sign or not finite, if an
-    edge vanishes, or if the length exceeds the bound.
+    edge vanishes, or if the length exceeds the bound, as a non-finite
+    length does.
     """
-    current = _signed_area(trial, curve.sigma)
-    if current == 0.0 or not target_volume / current > 0:
+    current = _signed_area(trial, sigma)
+    if current == 0.0 or not target / current > 0:
         return None
     centroid = trial.sum(axis=0) / len(trial)
-    try:  # a zero edge of the trial survives the homothety, and the homothety may overflow
-        candidate = curve.with_points(centroid + np.sqrt(target_volume / current) * (trial - centroid))
-    except (ZeroEdge, ValueError):
-        return None
-    return candidate if total_length(candidate) <= bound else None
+    points = centroid + math.sqrt(target / current) * (trial - centroid)
+    edges = _edge_vectors(points, True)
+    lengths = _norms(edges)  # a zero edge of the trial survives the homothety
+    return (points, edges, lengths) if lengths.min() > 0 and lengths.sum() <= bound else None
 
 
 def _along_chords(g: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
@@ -153,7 +164,7 @@ def _along_chords(g: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
     With u the area gradient, c_k is the direction of the chord p_{k+1} - p_{k-1}.
     """
-    norm = np.hypot(u[:, 0], u[:, 1])
+    norm = _norms(u)
     c = np.divide(rot90(u, 1), norm[:, None], out=np.zeros_like(u), where=norm[:, None] > 0)
     return g + ((alpha - 1.0) * _dot(g, c))[:, None] * c
 
@@ -186,12 +197,17 @@ def _block_inverse(n: int, w: int, cap_exp: int):
     return alpha / n, slope * 0.5 * (r - t) / n, -np.arange(n) % n
 
 
-def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool] | None:
+def _along_blocks(
+    g: np.ndarray, u: np.ndarray, lengths: np.ndarray, theta: np.ndarray, cusp: np.ndarray, sigma: int
+) -> tuple[np.ndarray, bool] | None:
     """(P (g - lam u), near) with <u, P (g - lam u)> = 0, P the block inverse of the regular polygon of the curve's winding.
+
+    lengths are the curve's edge lengths, and theta and cusp its turning
+    angles and cusp mask, as curves._turning_angles gives them.
 
     P acts per harmonic on the components along n_k = u_k / |u_k| and
     c_k = rot90(n_k, +1), the frames in which _regular_hessian_blocks are
-    written at the winding w = sigma turning_number(curve) (with b negated
+    written at the winding w = sigma turning_number (with b negated
     where w < 0); as complex numbers, g_k . n_k + i g_k . c_k = g_k conj(n_k).
     Its eigenvalues are floored at lambda_max / cap,
     cap = max(csc^2(pi / n), 1 / delta^2) rounded to a power of two,
@@ -201,15 +217,14 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> tuple[n
     the curve has a cusp, a non-integer turning or a zero u_k, where no
     regular polygon has its winding, or where <u, P u> is not positive.
     """
-    n = curve.n
+    n = len(g)
     try:
-        w = curve.sigma * turning_number(curve)
+        w = sigma * _turning_number(theta, cusp)
     except (CuspPresent, NonIntegerTurning):
         return None
-    norm = np.hypot(u[:, 0], u[:, 1])
+    norm = _norms(u)
     if not _names_regular_polygon(n, abs(w)) or not norm.min() > 0:
         return None
-    lengths, theta = curve.edge_lengths, curve.turning_angles
     delta = (lengths.max() - lengths.min()) * n / lengths.sum() + (theta.max() - theta.min())
     cap_exp = chord_exp = round(-2 * math.log2(math.sin(math.pi / n)))
     if 0 < delta < 1:  # delta = 1 / cap; a NaN or infinite delta keeps csc^2(pi / n)
@@ -218,7 +233,7 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> tuple[n
         cap_exp = MAX_CAP_EXP
     alpha, beta, reversal = _block_inverse(n, w, cap_exp)
     normal = u.view(complex)[:, 0] / norm
-    spectra = np.fft.fft(np.stack([g.view(complex)[:, 0] * normal.conj(), norm]))
+    spectra = np.fft.fft(np.array([g.view(complex)[:, 0] * normal.conj(), norm]))
     pg, pu = np.fft.ifft(alpha * spectra + beta * spectra[:, reversal].conj(), norm="forward")
     u_pu = float(norm @ pu.real)
     if not u_pu > 0:
@@ -228,7 +243,7 @@ def _along_blocks(curve: DiscreteCurve, g: np.ndarray, u: np.ndarray) -> tuple[n
 
 
 def _trials(x: np.ndarray, d: np.ndarray, h0: float, momentum: dict | None):
-    """(trial points, h, momentum count after acceptance), in the order flow_step tries them; h0 the first plain step."""
+    """(trial points, h, momentum count after acceptance), in the order _step tries them; h0 the first plain step."""
     if momentum:
         k, h = momentum["k"], momentum["h"]
         yield x + (k / (k + 3)) * (x - momentum["points"]) - h * d, h, k + 1
@@ -238,118 +253,139 @@ def _trials(x: np.ndarray, d: np.ndarray, h0: float, momentum: dict | None):
         h *= 0.5
 
 
+def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
+    """One step from the points x of a closed curve and their edges and lengths: (c, gradnorm, h, trials, accepted).
+
+    All at x's scale: target is the area, cap the step_size, diameter what
+    ZeroVolumeGradient measures |u| against, and momentum as in flow_step
+    (or None).  c is the coefficient of grad L along u = gradVol, so kappa
+    is -c; gradnorm is max |g_k|.  accepted is the (points, edges, lengths)
+    of the accepted trial and h its step size, both None where gradnorm is
+    below tolerance or no trial is accepted.
+    """
+    tangents = _tangents(edges, lengths)
+    gradient = _length_gradients(tangents, True)
+    u = _volume_gradients(_chords(x, True), sigma)
+    c = _along(gradient, u, diameter)
+    g = gradient - c * u
+    gradnorm = float(_norms(g).max())
+    if gradnorm < tolerance:
+        return c, gradnorm, None, 0, None
+    n, length = len(x), float(lengths.sum())
+    blocks = _along_blocks(g, u, lengths, *_turning_angles(tangents, sigma, True), sigma)
+    d, near = blocks or (_along_chords(g, u, 1.0 / math.tan(math.pi / n) ** 2), False)
+    slope = float((g * d).sum())
+    roundoff = 1e-14 * length
+    newton = length / (4 * n)
+    # near a regular polygon the plain Newton step is exact and momentum would overshoot it
+    exact = near and cap >= newton
+    # expected first-order decrease is h <g, d>; demand a tenth of it,
+    # up to the round-off resolution of the length itself
+    for trials, (trial, h, k) in enumerate(_trials(x, d, min(cap, newton), None if exact else momentum), 1):
+        accepted = _accepted(trial, sigma, target, length - 0.1 * h * slope + roundoff)
+        if accepted is not None:
+            if momentum is not None:
+                momentum.update(points=x, k=k, h=h)
+            return c, gradnorm, h, trials, accepted
+    return c, gradnorm, None, trials, None
+
+
+def _scaled(curve: DiscreteCurve, step_size: float):
+    """(e, x, edges, lengths, cap, diameter): x = points 2^-e, 2^e > diameter >= 2^(e-1), and the rest at x's scale.
+
+    Call it under the flow's errstate: a cap beyond the float range is inf.
+    """
+    diameter = _bounding_diagonal(curve.points)
+    e = math.frexp(diameter)[1]
+    x = np.ldexp(curve.points, -e)
+    edges = _edge_vectors(x, True)
+    return e, x, edges, _norms(edges), float(np.ldexp(step_size, -e)), math.ldexp(diameter, -e)
+
+
 def flow_step(
     curve: DiscreteCurve,
     config: FlowConfig,
     target_volume: float | None = None,
     momentum: dict | None = None,
 ):
-    """One descent step; returns (new_curve, diagnostics dict).
+    """run_flow's step on a curve (see the module docstring); returns (new_curve, diagnostics dict).
 
-    The projected gradient g is evaluated at the input curve, and so is the
-    direction d = P (g - lam u), P the capped inverse of the second variation
-    of the regular polygon with the curve's winding, applied per harmonic by
-    FFT, and lam such that <u, d> = 0; where the winding names no regular
-    polygon, or the curve has a cusp, d is g with its chord components scaled
-    by cot^2(pi / n) (see the module docstring).  P leaves the stiffest mode
-    unchanged, so its Newton step at the regular n-gon is L / (4n).
     The step is x - h d from h = min(config.step_size, L / (4n)), backtracked
     (up to 20 halvings) if it produces a zero edge, flips the enclosed area,
     or does not decrease the length by a tenth of h <g, d>, up to a round-off
-    slack of 1e-14 L.  The convergence test and diagnostics read g:
-    diagnostics carries the pre-step gradient norm, the accepted step size
-    (None if converged or no acceptable step exists) and the number of
-    trial point sets evaluated, "trials".
+    slack of 1e-14 L.  diagnostics carries the curve's length and volume,
+    the pre-step max |g_k| that the convergence test reads, the accepted
+    step size (None if converged or no acceptable step exists) and the
+    number of trial point sets evaluated, "trials".
 
-    momentum is the state run_flow threads from one step to the next, a dict
-    updated in place (start with {}): the previous iterate's "points", the
-    count "k" of steps since the last restart and the step size "h" the
-    backtracking last accepted.  With it, the step first tries
-    x + k/(k+3) (x - x_prev) - h d under the same area homothety and length
-    test; if that trial fails, momentum restarts: the step is the
-    backtracked one, and it is step k = 0 of the new sequence.  Near a
-    regular polygon (see _along_blocks), where config.step_size does not
-    clip the Newton step, the momentum trial is skipped and momentum
-    restarts.  Without momentum, only the backtracked step is taken.
+    momentum is the dict run_flow threads from one step to the next, updated
+    in place (start with {}): the previous iterate's "points", the count "k"
+    of steps since the last restart and the step size "h" the backtracking
+    last accepted.  With it, the step first tries x + k/(k+3) (x - x_prev) - h d,
+    except near a regular polygon; if that trial fails, or is skipped, the
+    step is the backtracked one, k = 0 of a new sequence.
     """
-    gradient = length_gradients(curve)
-    c, u, _ = _along_volume_gradient(curve, gradient)
-    g = gradient - c * u
-    gradnorm = float(np.hypot(g[:, 0], g[:, 1]).max())
-    diagnostics = {
-        "max_projected_gradient": gradnorm,
-        "length": total_length(curve),
-        "volume": enclosed_volume(curve),
-        "step_size_used": None,
-        "trials": 0,
-    }
-    if gradnorm < config.grad_tolerance:
+    diagnostics = {"max_projected_gradient": None, "length": total_length(curve), "volume": enclosed_volume(curve)}
+    target = diagnostics["volume"] if target_volume is None else target_volume
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_flow
+        e, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)
+        state = momentum  # at the step's scale; a new dict unless it is empty
+        if momentum:
+            state = dict(momentum, points=np.ldexp(momentum["points"], -e), h=math.ldexp(momentum["h"], -e))
+        target = float(np.ldexp(target, -2 * e))
+        _, gradnorm, h, trials, accepted = _step(
+            x, edges, lengths, curve.sigma, target, cap, config.grad_tolerance, diameter, state
+        )
+    diagnostics.update(max_projected_gradient=gradnorm, step_size_used=None, trials=trials)
+    if accepted is None:
         return curve, diagnostics
-
-    if target_volume is None:
-        target_volume = diagnostics["volume"]
-    x, length = curve.points, diagnostics["length"]
-    d, near = _along_blocks(curve, g, u) or (_along_chords(g, u, 1.0 / math.tan(math.pi / curve.n) ** 2), False)
-    slope = float((g * d).sum())
-    roundoff = 1e-14 * length
-    newton = length / (4 * curve.n)
-    # near a regular polygon the plain Newton step is exact and momentum would overshoot it
-    exact = near and config.step_size >= newton
-    # expected first-order decrease is h <g, d>; demand a tenth of it,
-    # up to the round-off resolution of the length itself
-    for trial, h, k in _trials(x, d, min(config.step_size, newton), None if exact else momentum):
-        diagnostics["trials"] += 1
-        candidate = _accepted(curve, trial, target_volume, length - 0.1 * h * slope + roundoff)
-        if candidate is not None:
-            if momentum is not None:
-                momentum.update(points=x, k=k, h=h)
-            diagnostics["step_size_used"] = h
-            return candidate, diagnostics
-    return curve, diagnostics
+    diagnostics["step_size_used"] = math.ldexp(h, e)
+    if momentum is not None:
+        momentum.update(points=curve.points, k=state["k"], h=diagnostics["step_size_used"])
+    return curve.with_points(np.ldexp(accepted[0], e)), diagnostics
 
 
 def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTrajectory:
-    """Iterate flow_step, with momentum, until the projected gradient falls below tolerance.
+    """Iterate the flow step, with momentum, until the projected gradient falls below tolerance.
 
     Each step starts at min(config.step_size, L / (4n)), the regular polygon's
     Newton step, and tries momentum first except near a regular polygon,
-    where that Newton step is exact (see flow_step).
-
-    Convergence hands the limit to classify_equilibrium with the recovered
-    Lagrange multiplier; a step with no acceptable size degenerates the run.
+    where that Newton step is exact (see flow_step).  The steps run at the
+    starting curve's own power of two, and a curve is built only for each
+    snapshot (see the module docstring).  Convergence hands the last snapshot
+    to classify_equilibrium with the last step's multiplier, lagrange_kappa
+    to the bit; a step with no acceptable size degenerates the run.
     """
     if not curve.closed:
         raise OpenCurve("the constrained flow is defined for closed curves")
     snapshots: list[FlowSnapshot] = []
-    # a fresh curve, so that the flow caches no array on the caller's
-    current, momentum = curve.with_points(curve.points), {}
-    # an overflowing area or trial step fails the area test; its numpy warnings would only reach stderr
+    sigma, trials, step_sizes, momentum = curve.sigma, [], [], {}
+    # an overflowing trial step fails the area test; its numpy warnings would only reach stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        target_volume = enclosed_volume(current)
+        e, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)
+        target = _signed_area(x, sigma)
         for step in range(config.max_steps + 1):
-            new_curve, diag = flow_step(current, config, target_volume=target_volume, momentum=momentum)
-            done = diag["step_size_used"] is None or step == config.max_steps  # None: converged or degenerated
+            c, gradnorm, h, count, accepted = _step(
+                x, edges, lengths, sigma, target, cap, config.grad_tolerance, diameter, momentum
+            )
+            done = accepted is None or step == config.max_steps  # None: converged or degenerated
             if done or step % config.record_every == 0:
-                snapshots.append(
-                    FlowSnapshot(
-                        step=step,
-                        # a fresh curve, so that the kept snapshots do not hold cached arrays
-                        curve=current.with_points(current.points),
-                        length=diag["length"],
-                        volume=diag["volume"],
-                        max_projected_gradient=diag["max_projected_gradient"],
-                    )
-                )
+                length, volume = float(np.ldexp(lengths.sum(), e)), float(np.ldexp(_signed_area(x, sigma), 2 * e))
+                snapshots.append(FlowSnapshot(step, curve.with_points(np.ldexp(x, e)), length, volume, gradnorm))
             if done:
                 break
-            current = new_curve
+            x, edges, lengths = accepted
+            trials.append(count)
+            step_sizes.append(h)
 
     verdict, report, reason, kappa = "max_steps", None, None, None
-    if diag["max_projected_gradient"] < config.grad_tolerance:
+    if gradnorm < config.grad_tolerance:
         verdict = "converged"
-        kappa = lagrange_kappa(current)
-        report = classify_equilibrium(current, kappa, tol=CLASSIFY_TOLERANCE)
-    elif diag["step_size_used"] is None:
+        kappa = _kappa(c, e)
+        report = classify_equilibrium(snapshots[-1].curve, kappa, tol=CLASSIFY_TOLERANCE)
+    elif accepted is None:
         verdict = "degenerated"
-        reason = f"no acceptable step at step {step} (gradient {diag['max_projected_gradient']:.3e})"
-    return FlowTrajectory(snapshots, verdict, step, report, reason, kappa)
+        reason = f"no acceptable step at step {step} (gradient {gradnorm:.3e})"
+    return FlowTrajectory(
+        snapshots, verdict, step, np.array(trials, dtype=int), np.ldexp(step_sizes, e), report, reason, kappa
+    )

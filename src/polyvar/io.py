@@ -66,13 +66,11 @@ def curve_from_json(text: str) -> DiscreteCurve:
     points = doc["points"]
     if not isinstance(points, list):
         raise ValueError("field 'points': expected an array of [x, y] pairs")
-    for i, pair in enumerate(points):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ValueError(f"field 'points[{i}]': expected an [x, y] number pair")
+    # json.loads makes a JSON number an int or a float, never a subclass; true and false are bools
+    number = (int, float)
+    valid = [type(p) is list and len(p) == 2 and type(p[0]) in number and type(p[1]) in number for p in points]
+    if not all(valid):
+        raise ValueError(f"field 'points[{valid.index(False)}]': expected an [x, y] number pair")
     return DiscreteCurve(np.array(points, dtype=float), closed=doc["closed"], sigma=doc["sigma"])
 
 

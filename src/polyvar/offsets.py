@@ -55,8 +55,8 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     The volume-descent counterpart of N_k; the two agree in direction exactly
     when the adjacent edges have equal length.
     """
-    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
-    l_prev, l = _at_vertices(curve, curve.edge_lengths)
+    nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
+    l_prev, l = _at_vertices(curve.closed, curve.edge_lengths)
     return (l[:, None] * nu + l_prev[:, None] * nu_prev) / (l + l_prev)[:, None]
 
 
@@ -79,7 +79,7 @@ def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.nda
     of the offset would vanish or point backwards.
     """
     _check_offset(curve, t, open_message)
-    _require_no_cusp(curve)
+    _require_no_cusp(curve.cusp_mask)
     factors = 1.0 - t * curve.edge_curvatures
     collapsing = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
     if collapsing.size:
@@ -147,7 +147,7 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     """
     _check_offset(curve, t, "offset lengths require a closed curve")
     if variant == "wedge":
-        _require_no_cusp(curve)  # before the turning angles warn about the cusp
+        _require_no_cusp(curve.cusp_mask)  # before the turning angles warn about the cusp
     elif variant == "segment":
         _require_corners_away(curve, t, variant)
     theta = curve.turning_angles
@@ -173,7 +173,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
     if variant == "segment":
         _check_offset(curve, t, "segment offsets require a closed curve")
         nu = curve.edge_normals
-        pts, nxt = _at_edges(curve, curve.points)
+        pts, nxt = _at_edges(curve.closed, curve.points)
         doubled = np.empty((2 * curve.n, 2))
         doubled[0::2] = pts + t * nu
         doubled[1::2] = nxt + t * nu
@@ -189,7 +189,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
 
 def frenet_edge_residuals(curve: DiscreteCurve) -> np.ndarray:
     """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero."""
-    N, N_next = _at_edges(curve, vertex_normals(curve))
+    N, N_next = _at_edges(curve.closed, vertex_normals(curve))
     return (N_next - N) / curve.edge_lengths[:, None] + curve.edge_curvatures[:, None] * curve.tangents
 
 

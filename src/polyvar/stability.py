@@ -29,7 +29,7 @@ def qv_form(curve: DiscreteCurve, field) -> float:
     """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol."""
     if not curve.closed:
         raise OpenCurve("the volume form requires a closed curve")
-    v, v_next = _at_edges(curve, _check_field(curve, field))
+    v, v_next = _at_edges(curve.closed, _check_field(curve, field))
     return float(np.sum(v * rot90(v_next, curve.sigma)))
 
 
@@ -40,7 +40,7 @@ def ql_form(curve: DiscreteCurve, field) -> float:
     """
     if not curve.closed:
         raise OpenCurve("the length form requires a closed curve")
-    v, v_next = _at_edges(curve, _check_field(curve, field))
+    v, v_next = _at_edges(curve.closed, _check_field(curve, field))
     l = curve.edge_lengths
     grad = (v_next - v) / l[:, None]
     proj = _dot(grad, curve.tangents)
@@ -69,7 +69,7 @@ class NormalTangentField(NamedTuple):
 def _vertex_frame(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     """(N_k, T_k); NaN rows at open ends, CuspVertex at a cusp."""
     N = curve.vertex_normals  # first, so that a cusp curve warns as other readers do
-    _require_no_cusp(curve)
+    _require_no_cusp(curve.cusp_mask)
     return N, curve.vertex_tangents
 
 

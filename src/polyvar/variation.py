@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _value_at, rot90, turning_number
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _norms, _value_at, rot90, turning_number
 from .errors import InternalInconsistency, KappaZero, OpenCurve, ZeroVolumeGradient
 
 
@@ -27,7 +27,11 @@ def length_gradients(curve: DiscreteCurve) -> np.ndarray:
 
     NaN at the boundary vertices of an open curve (they are held fixed).
     """
-    t_prev, t = _at_vertices(curve, curve.tangents)
+    return _length_gradients(curve.tangents, curve.closed)
+
+
+def _length_gradients(tangents: np.ndarray, closed: bool) -> np.ndarray:
+    t_prev, t = _at_vertices(closed, tangents)
     return t_prev - t
 
 
@@ -39,7 +43,11 @@ def volume_gradients(curve: DiscreteCurve) -> np.ndarray:
     """Gradient of the signed enclosed area per vertex: (1/2) R(p_{k+1} - p_{k-1})."""
     if not curve.closed:
         raise OpenCurve("volume gradient requires a closed curve")
-    return 0.5 * rot90(curve.chords, curve.sigma)
+    return _volume_gradients(curve.chords, curve.sigma)
+
+
+def _volume_gradients(chords: np.ndarray, sigma: int) -> np.ndarray:
+    return 0.5 * rot90(chords, sigma)
 
 
 def volume_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
@@ -87,10 +95,15 @@ def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
     diameter = curve.diameter()
     e = math.frexp(diameter)[1]
     u = np.ldexp(volume_gradients(curve), -e)
+    return _along(field, u, math.ldexp(diameter, -e)), u, e
+
+
+def _along(field: np.ndarray, u: np.ndarray, diameter: float) -> float:
+    """(field . u) / |u|^2; ZeroVolumeGradient if |u| is at most 1e-14 diameter, the diameter in u's units."""
     u_norm_sq = float((u * u).sum())
-    if not u_norm_sq > math.ldexp(1e-14 * diameter, -e) ** 2:
+    if not u_norm_sq > (1e-14 * diameter) ** 2:
         raise ZeroVolumeGradient("area gradient vanishes; projection undefined")
-    return float((field * u).sum()) / u_norm_sq, u, e
+    return float((field * u).sum()) / u_norm_sq
 
 
 def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
@@ -107,6 +120,11 @@ def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
 def lagrange_kappa(curve: DiscreteCurve) -> float:
     """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
     c, _, e = _along_volume_gradient(curve, length_gradients(curve))
+    return _kappa(c, e)
+
+
+def _kappa(c: float, e: int) -> float:
+    """-c 2^-e: kappa from c, the coefficient of grad L along u = gradVol / 2^e."""
     try:
         return -math.ldexp(c, -e)
     except OverflowError:  # |kappa| ~ 1 / diameter, beyond the float range below about 1e-308
@@ -117,7 +135,7 @@ def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Euler-Lagrange residual A_k per vertex; zero iff critical for L + kappa*Vol."""
     if not curve.closed:
         raise OpenCurve("equilibrium residual requires a closed curve")
-    nu_prev, nu = _at_vertices(curve, curve.edge_normals)
+    nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
     return (nu - nu_prev) + 0.5 * kappa * curve.chords
 
 
@@ -125,7 +143,7 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria."""
     if not curve.closed:
         raise OpenCurve("conservation vectors require a closed curve")
-    p, p_next = _at_edges(curve, curve.points)
+    p, p_next = _at_edges(curve.closed, curve.points)
     return curve.edge_normals + 0.5 * kappa * (p_next + p)
 
 
@@ -204,14 +222,14 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     if kappa == 0.0:
         raise KappaZero("classification requires kappa != 0")
     residual = equilibrium_residual(curve, kappa)
-    max_residual = float(np.hypot(residual[:, 0], residual[:, 1]).max())
+    max_residual = float(_norms(residual).max())
     scale = max(1.0, abs(kappa) * curve.diameter())
     is_equilibrium = max_residual <= tol * scale
 
     l = curve.edge_lengths
     theta = curve.turning_angles
-    l0 = float(l.mean())
-    theta0 = float(theta.mean())
+    l0 = float(l.sum() / curve.edge_count)  # l.mean() to the bit, at a fraction of its overhead
+    theta0 = float(theta.sum() / curve.n)
     winding = None if curve.cusp_mask.any() else turning_number(curve)
 
     if is_equilibrium:
@@ -224,7 +242,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
             raise InternalInconsistency("residual passed but no regular polygon has this turning")
         sin_half = np.sin(np.pi * m / curve.n)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
-        if np.max(np.abs(l - l0)) > 0.5 * slack * l0 or np.max(np.abs(theta - theta0)) > slack:
+        if np.abs(l - l0).max() > 0.5 * slack * l0 or np.abs(theta - theta0).max() > slack:
             raise InternalInconsistency(
                 "residual passed but the curve is not a regular polygon"
             )

@@ -236,12 +236,13 @@ def test_non_integer_turning_is_internal_guard(monkeypatch, sq):
     # corrupt the angles to exercise the residual check
     import polyvar.curves as curves_mod
 
-    original = curves_mod.turning_angles
+    original = curves_mod._turning_angles
 
-    def corrupted(curve):
-        return original(curve) + 1e-3
+    def corrupted(*args):
+        theta, cusp = original(*args)
+        return theta + 1e-3, cusp
 
-    monkeypatch.setattr(curves_mod, "turning_angles", corrupted)
+    monkeypatch.setattr(curves_mod, "_turning_angles", corrupted)
     with pytest.raises(NonIntegerTurning):
         turning_number(sq)
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -22,10 +23,9 @@ from polyvar import (
     turning_angles,
     volume_gradients,
 )
-from polyvar import flow
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
-from polyvar.flow import _along_blocks, _along_chords, _along_volume_gradient
-from polyvar.variation import _regular_hessian_blocks, _regular_hessian_spectrum
+from polyvar.flow import _along_blocks, _along_chords
+from polyvar.variation import _along_volume_gradient, _regular_hessian_blocks, _regular_hessian_spectrum
 
 from helpers import random_star_polygon
 
@@ -153,8 +153,8 @@ def test_run_flow_convex_pentagon_reaches_regular(rng):
 
     trajectory = run_flow(curve, FlowConfig(step_size=0.2, grad_tolerance=1e-9))
     assert trajectory.verdict == "converged"
-    # snapshots are fresh curves, so a long run does not keep their cached arrays
-    assert all("edge_lengths" not in vars(snap.curve) for snap in trajectory.snapshots)
+    # snapshots are fresh curves, so a long run keeps the cached arrays of the last one only, which it classified
+    assert all("edge_lengths" not in vars(snap.curve) for snap in trajectory.snapshots[:-1])
     final = trajectory.snapshots[-1].curve
     lens = edge_lengths(final)
     thetas = turning_angles(final)
@@ -386,6 +386,11 @@ def test_chord_preconditioning_skips_a_zero_area_gradient():
     assert d.tolist() == [[4.0, 2.0], [3.0, -1.0], [0.5, 1.0]]
 
 
+def _blocks(curve, g, u):
+    """_along_blocks on the curve's own edge lengths, turning angles and cusp mask."""
+    return _along_blocks(g, u, curve.edge_lengths, *curve._snapped_angles, curve.sigma)
+
+
 def _preconditioned_blocks(n, alpha):
     """|eigenvalues| over j = 1..n-1 of the regular n-gon's (radial, tangential) blocks, tangential scaled by alpha.
 
@@ -444,41 +449,58 @@ def test_run_flow_benchmark_instances_n4096():
 
 
 def test_run_flow_scale_covariant_below_unit_size():
-    """The first trial L / (4n) and the round-off slack 1e-14 L scale with the curve: one step count from 1e-100 to 1e150.
+    """The flow runs at the curve's own power of two: one step count from 1e-300 to 1e300.
 
-    The default step_size caps no step, so above unit size the Newton step is not clipped either.
+    The first trial L / (4n) and the round-off slack 1e-14 L scale with the
+    curve, and the areas are taken on the points times 2^-e, so they neither
+    underflow (below about 1e-162) nor overflow (above about 1e154).  The
+    default step_size caps no step, so above unit size the Newton step is
+    not clipped either.  pyproject.toml turns a RuntimeWarning into a test
+    failure.
     """
     rng = np.random.default_rng(0)
     points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
     steps = set()
-    for scale in (1e-100, 1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100, 1e150):
+    scales = (1e-300, 1e-162, 1e-100, 1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100, 1e150, 1e154, 1e300)
+    for scale in scales:
+        curve = make_curve(points * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trajectory = run_flow(make_curve(points * scale), FlowConfig(max_steps=3000))
+            trajectory = run_flow(curve, FlowConfig(max_steps=3000))
         assert trajectory.verdict == "converged" and trajectory.report.is_equilibrium
         steps.add(trajectory.steps_taken)
+        assert trajectory.kappa_estimate == lagrange_kappa(trajectory.snapshots[-1].curve)
+        if 1e-100 <= scale <= 1e150:  # enclosed_volume neither under- nor overflows
+            assert trajectory.snapshots[0].volume == enclosed_volume(curve)
     assert steps == {6}
 
 
-def test_run_flow_near_regular_takes_one_trial_per_step(monkeypatch):
+def test_run_flow_near_regular_takes_one_trial_per_step():
     """On the benchmark instances every step is the plain Newton step, accepted at its first trial."""
-    trials = []
-
-    def recording(*args, **kwargs):
-        new_curve, diagnostics = flow_step(*args, **kwargs)
-        if diagnostics["step_size_used"] is not None:
-            trials.append(diagnostics["trials"])
-        return new_curve, diagnostics
-
-    monkeypatch.setattr(flow, "flow_step", recording)
     for n in (8, 16, 32, 64):
         for i in range(3):
             rng = np.random.default_rng([0, n, i])
             curve = make_curve(regular_polygon(n).points + 0.05 * rng.standard_normal((n, 2)) / n)
-            trials.clear()
             trajectory = run_flow(curve, FlowConfig(step_size=0.2))
             assert trajectory.verdict == "converged"
-            assert trials == [1] * trajectory.steps_taken
+            assert trajectory.trials.tolist() == [1] * trajectory.steps_taken
+
+
+def test_flow_step_replays_run_flow():
+    """flow_step, threading a momentum dict, takes run_flow's steps bit for bit, in the caller's units."""
+    name = "(9, 4)/0"  # momentum, restarts and backtracking
+    curve = make_curve(dict(_far_from_regular())[name])
+    config = FlowConfig(step_size=0.2)
+    trajectory = run_flow(curve, config)
+    assert trajectory.steps_taken == FAR_STEPS[name] and trajectory.trials.max() > 1
+    target, momentum, trials, step_sizes = enclosed_volume(curve), {}, [], []
+    for _ in range(trajectory.steps_taken):
+        curve, diag = flow_step(curve, config, target_volume=target, momentum=momentum)
+        trials.append(diag["trials"])
+        step_sizes.append(diag["step_size_used"])
+    assert np.array_equal(curve.points, trajectory.snapshots[-1].curve.points)
+    assert trials == trajectory.trials.tolist() and step_sizes == trajectory.step_sizes.tolist()
+    assert momentum["h"] == step_sizes[-1]
 
 
 def test_run_flow_leaves_the_input_bare():
@@ -487,16 +509,21 @@ def test_run_flow_leaves_the_input_bare():
     assert sorted(vars(curve)) == ["closed", "points", "sigma"]
 
 
-def test_run_flow_area_overflow_degenerates_without_warning():
-    """The area of a heptagon of size 1e154 overflows; the flow says so in its verdict, not on stderr.
+def test_run_flow_builds_curves_only_for_snapshots(monkeypatch):
+    """The steps run on arrays; a curve is built for each snapshot, and the last one is classified."""
+    points = dict(_far_from_regular())["16/0.3/1"]
+    curve = make_curve(points)
+    built = []
+    post_init = DiscreteCurve.__post_init__
 
-    pyproject.toml turns a RuntimeWarning into a test failure.
-    """
-    rng = np.random.default_rng(0)
-    points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
-    trajectory = run_flow(make_curve(points * 1e154), FlowConfig(max_steps=3000))
-    assert trajectory.verdict == "degenerated"
-    assert trajectory.reason.startswith("no acceptable step at step 0")
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DiscreteCurve, "__post_init__", counted)
+    trajectory = run_flow(curve, FlowConfig(step_size=0.2))
+    assert trajectory.verdict == "converged" and len(trajectory.snapshots) == 13  # 116 steps
+    assert built == [snap.curve for snap in trajectory.snapshots]
 
 
 def _hessian(curve, kappa):
@@ -534,7 +561,7 @@ def test_block_preconditioner_inverts_the_regular_hessian(n, m, sigma, reverse):
     hessian = _hessian(curve, lagrange_kappa(curve))
     _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
     unit = np.eye(2 * n)
-    columns = [_along_blocks(curve, unit[i].reshape(n, 2), u) for i in range(2 * n)]
+    columns = [_blocks(curve, unit[i].reshape(n, 2), u) for i in range(2 * n)]
     assert all(near for _, near in columns)  # delta = 0
     step_map = np.column_stack([d.ravel() for d, _ in columns])
     assert np.allclose(step_map, step_map.T, rtol=0, atol=1e-12 * np.abs(step_map).max())
@@ -566,7 +593,7 @@ def test_block_preconditioned_direction(rng):
             curve = curve.with_points(curve.points[::-1])
         g = project_volume_preserving(curve, length_gradients(curve))
         _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
-        blocks = _along_blocks(curve, g, u)
+        blocks = _blocks(curve, g, u)
         if blocks is None:
             continue
         d, _ = blocks
@@ -583,7 +610,7 @@ def test_block_preconditioner_falls_back_without_a_regular_winding():
     for curve in (bowtie, cusp):
         g = project_volume_preserving(curve, length_gradients(curve))
         _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
-        assert _along_blocks(curve, g, u) is None
+        assert _blocks(curve, g, u) is None
 
 
 def _far_from_regular():
@@ -634,6 +661,33 @@ def test_far_from_regular_step_counts_pinned():
         assert trajectory.report.winding == -1
         steps[name] = trajectory.steps_taken
     assert steps == FAR_STEPS
+
+
+# (final points' SHA-256, steps, kappa) at step_size = 0.2: benchmark instances (n, 0) and two far curves
+BIT_FOR_BIT = {
+    8: ("3b282974fcc9a2a9152b4d6753649a96faebcb7322fd73ec42e8e9e058b8fc88", 3, -1.081977830412924),
+    16: ("574b9f2fbf4bf9916eb6d0f5d148ea14603ded3349d188c93e33ea51d5e5bcdb", 3, -1.0199902722651615),
+    32: ("2c04f655aa9075c6e45e9325c8be5555bbb4b7a91f028cc229e22026d025e65e", 3, -1.0049045879259595),
+    64: ("893c227a839f1a5c54be9ed08555850e189c9d682b30c7e32a3859792c18a370", 4, -1.0011369769116278),
+    "16/0.3/1": ("fa346d30413ffa94c733970482514bd5d470667085bb0b03770ad90ad7c62ba9", 116, -1.1129131101810184),
+    "(7, 3)/0": ("2be11061db50b7e88c37ee935f2791c342b63e61df3a74ae46391588681819cf", 24, -1.502490155056205),
+}
+
+
+def test_run_flow_bit_for_bit_pinned():
+    """Any change to the arithmetic of a step, or to the scale it runs at, moves these bits."""
+    far = dict(_far_from_regular())
+    runs = {}
+    for key in BIT_FOR_BIT:
+        if isinstance(key, int):
+            rng = np.random.default_rng([0, key, 0])
+            points = regular_polygon(key).points + 0.05 * rng.standard_normal((key, 2)) / key
+        else:
+            points = far[key]
+        trajectory = run_flow(make_curve(points), FlowConfig(step_size=0.2))
+        final = trajectory.snapshots[-1].curve.points
+        runs[key] = (hashlib.sha256(final.tobytes()).hexdigest(), trajectory.steps_taken, trajectory.kappa_estimate)
+    assert runs == BIT_FOR_BIT
 
 
 def test_run_flow_calls_no_linear_algebra(monkeypatch):

@@ -40,6 +40,10 @@ def test_curve_file_field_errors():
         ("version", 99, "version"),
         ("points", [[1.0]], "points[0]"),
         ("points", "nope", "points"),
+        # a bad pair in the middle is named by its own index
+        *(("points", [[0, 0], [1, 0], pair, [0, 1]], "points[2]") for pair in (
+            [True, 1], [1, "2"], [1, None], [1, 2, 3], [[1, 2], 3], [[1, 2], [3, 4]], None, 7,
+        )),
     ]:
         bad = dict(good)
         bad[field] = value
