@@ -30,6 +30,11 @@ _norms, _tangents, _chords, _turning_angles, _signed_area), which the flow
 also calls on its points.  _require_no_cusp is the one cusp rule of the
 readers that refuse a cusp: CuspVertex at the first cusp vertex.
 
+A curve's own power of two is e with 2^e > diameter >= 2^(e-1) (_scale_of).
+The area, the flow, the multiplier and the classifier work on the points
+times 2^-e, which keeps every bit, so that no area or product with kappa
+under- or overflows at any scale; _area scales an area taken there back.
+
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
 both neighbours is NaN where an open curve ends.  _at_vertices and _at_edges
@@ -38,6 +43,7 @@ apply this rule, and _value_at is the one single-index lookup.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,12 +143,16 @@ class DiscreteCurve:
         return DiscreteCurve(points, closed=self.closed, sigma=self.sigma)
 
     def diameter(self) -> float:
-        """Bounding-box diagonal; the length scale used by tolerances."""
+        """Bounding-box diagonal; the length scale used by tolerances, inf where it overflows."""
         return self._diameter
 
     @cached_property
     def _diameter(self) -> float:
         return _bounding_diagonal(self.points)
+
+    @cached_property
+    def _scale(self) -> tuple[float, int]:
+        return _scale_of(self.points, self._diameter)
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
@@ -218,8 +228,18 @@ def _at_edges(closed: bool, per_vertex: np.ndarray):
 
 def _bounding_diagonal(points: np.ndarray) -> float:
     xy = np.ascontiguousarray(points.T)  # reduce along the long axis
-    span = xy.max(axis=1) - xy.min(axis=1)
-    return float(np.hypot(span[0], span[1]))
+    with np.errstate(over="ignore"):  # inf where finite points span more than the float range
+        span = xy.max(axis=1) - xy.min(axis=1)
+        return float(np.hypot(span[0], span[1]))
+
+
+def _scale_of(points: np.ndarray, diameter: float | None = None) -> tuple[float, int]:
+    """(diameter 2^-e, e), 2^e > diameter >= 2^(e-1), the points' bounding diagonal; e stays finite where it overflows."""
+    diameter = _bounding_diagonal(points) if diameter is None else diameter
+    if diameter == math.inf:  # taken on the points times 1/4
+        scaled, e = _scale_of(np.ldexp(points, -2))
+        return scaled, e + 2
+    return math.frexp(diameter)
 
 
 def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -357,14 +377,21 @@ def total_length(curve: DiscreteCurve) -> float:
 
 
 def enclosed_volume(curve: DiscreteCurve) -> float:
-    """Signed area (1/2) sum <p_k, nu_k> l_k; sign depends on orientation and sigma."""
+    """Signed area (1/2) sum <p_k, nu_k> l_k, at the curve's power of two; sign depends on orientation and sigma."""
     if not curve.closed:
         raise OpenCurve("enclosed volume requires a closed curve")
-    return _signed_area(curve.points, curve.sigma)
+    e = _scale_of(curve.points)[1]  # caches nothing on the curve
+    return _area(np.ldexp(curve.points, -e), curve.sigma, e)
+
+
+def _area(x: np.ndarray, sigma: int, e: int) -> float:
+    """_signed_area of the points x 2^e, taken on x and scaled back by 2^2e (inf where that overflows)."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_signed_area(x, sigma), 2 * e))
 
 
 def _signed_area(points: np.ndarray, sigma: int) -> float:
-    """enclosed_volume of the closed polygon through points, which need not be a curve.
+    """The signed area of the closed polygon through points, which need not be a curve.
 
     (1/2) sum <p_k, R e_k> = -(sigma/2) sum (x_k e_k,y - y_k e_k,x), with the
     edges e_k = p_{k+1} - p_k computed here, so that a curve caches no array.

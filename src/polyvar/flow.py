@@ -53,14 +53,11 @@ overshoot it: the step skips the momentum trial and restarts k.  So the
 length falls at every step and the area is restored exactly.
 
 _step is the one step, written on arrays: the points, their edges and their
-lengths go in, and the accepted trial's come out.  It runs at the curve's own
-power of two, on the points times 2^-e with 2^e > diameter >= 2^(e-1):
-scaling by a power of two is exact, so every point keeps the bits it has at
-the curve's own scale, while the areas, of order 1, neither under- nor
-overflow at any scale.  run_flow takes e from the starting curve, iterates
-_step on one set of arrays and builds a curve only for each snapshot; at
-convergence the last step's multiplier is kappa and the last snapshot is
-classified as an equilibrium.  flow_step is one step on a curve.
+lengths go in, and the accepted trial's come out.  run_flow takes the power
+of two e of the starting curve (curves._scale_of), iterates _step on the
+points times 2^-e and builds a curve only for each snapshot; at convergence
+the last step's multiplier is kappa and the last snapshot is classified as
+an equilibrium.  flow_step is one plain step on a curve, run_flow's first.
 """
 
 from __future__ import annotations
@@ -72,8 +69,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _bounding_diagonal, _chords, _dot, _edge_vectors, _norms, _signed_area, _tangents
-from .curves import _turning_angles, _turning_number, enclosed_volume, rot90, total_length
+from .curves import DiscreteCurve, _area, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area, _tangents
+from .curves import _turning_angles, _turning_number, rot90, total_length
 from .errors import CuspPresent, NonIntegerTurning, OpenCurve
 from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
 from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
@@ -116,12 +113,7 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowSnapshot:
-    """The curve at a step, its length and area, and its largest |g_k|.
-
-    The area is taken at the flow's scale and scaled back: volume is
-    enclosed_volume(curve) to the bit wherever that neither over- nor
-    underflows, and 0 or inf only where the area is outside the float range.
-    """
+    """The curve at a step, its length, its area (enclosed_volume) and its largest |g_k|."""
 
     step: int
     curve: DiscreteCurve
@@ -256,9 +248,11 @@ def _trials(x: np.ndarray, d: np.ndarray, h0: float, momentum: dict | None):
 def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
     """One step from the points x of a closed curve and their edges and lengths: (c, gradnorm, h, trials, accepted).
 
-    All at x's scale: target is the area, cap the step_size, diameter what
-    ZeroVolumeGradient measures |u| against, and momentum as in flow_step
-    (or None).  c is the coefficient of grad L along u = gradVol, so kappa
+    All at x's scale: target is the area, cap the step_size and diameter
+    what ZeroVolumeGradient measures |u| against.  momentum is None for the
+    plain step, or run_flow's dict, updated in place (start with {}): the
+    previous "points", the count "k" since the last restart and the last
+    accepted "h" (see the module docstring).  c is the coefficient of grad L along u = gradVol, so kappa
     is -c; gradnorm is max |g_k|.  accepted is the (points, edges, lengths)
     of the accepted trial and h its step size, both None where gradnorm is
     below tolerance or no trial is accepted.
@@ -291,57 +285,36 @@ def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
 
 
 def _scaled(curve: DiscreteCurve, step_size: float):
-    """(e, x, edges, lengths, cap, diameter): x = points 2^-e, 2^e > diameter >= 2^(e-1), and the rest at x's scale.
-
-    Call it under the flow's errstate: a cap beyond the float range is inf.
-    """
-    diameter = _bounding_diagonal(curve.points)
-    e = math.frexp(diameter)[1]
+    """(e, x, edges, lengths, cap, diameter) at x = points 2^-e, e the curve's power of two; under the flow's errstate."""
+    diameter, e = _scale_of(curve.points)
     x = np.ldexp(curve.points, -e)
     edges = _edge_vectors(x, True)
-    return e, x, edges, _norms(edges), float(np.ldexp(step_size, -e)), math.ldexp(diameter, -e)
+    return e, x, edges, _norms(edges), float(np.ldexp(step_size, -e)), diameter
 
 
-def flow_step(
-    curve: DiscreteCurve,
-    config: FlowConfig,
-    target_volume: float | None = None,
-    momentum: dict | None = None,
-):
-    """run_flow's step on a curve (see the module docstring); returns (new_curve, diagnostics dict).
+def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | None = None):
+    """run_flow's plain step on a curve (see the module docstring); returns (new_curve, diagnostics dict).
 
     The step is x - h d from h = min(config.step_size, L / (4n)), backtracked
     (up to 20 halvings) if it produces a zero edge, flips the enclosed area,
     or does not decrease the length by a tenth of h <g, d>, up to a round-off
-    slack of 1e-14 L.  diagnostics carries the curve's length and volume,
-    the pre-step max |g_k| that the convergence test reads, the accepted
-    step size (None if converged or no acceptable step exists) and the
-    number of trial point sets evaluated, "trials".
-
-    momentum is the dict run_flow threads from one step to the next, updated
-    in place (start with {}): the previous iterate's "points", the count "k"
-    of steps since the last restart and the step size "h" the backtracking
-    last accepted.  With it, the step first tries x + k/(k+3) (x - x_prev) - h d,
-    except near a regular polygon; if that trial fails, or is skipped, the
-    step is the backtracked one, k = 0 of a new sequence.
+    slack of 1e-14 L, and restores the area to target_volume (by default the
+    curve's own).  diagnostics carries the curve's length and volume, the
+    pre-step max |g_k| that the convergence test reads, the accepted step
+    size (None if converged or no acceptable step exists) and the number of
+    trial point sets evaluated, "trials".
     """
-    diagnostics = {"max_projected_gradient": None, "length": total_length(curve), "volume": enclosed_volume(curve)}
-    target = diagnostics["volume"] if target_volume is None else target_volume
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_flow
         e, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)
-        state = momentum  # at the step's scale; a new dict unless it is empty
-        if momentum:
-            state = dict(momentum, points=np.ldexp(momentum["points"], -e), h=math.ldexp(momentum["h"], -e))
-        target = float(np.ldexp(target, -2 * e))
+        target = _signed_area(x, curve.sigma) if target_volume is None else float(np.ldexp(target_volume, -2 * e))
         _, gradnorm, h, trials, accepted = _step(
-            x, edges, lengths, curve.sigma, target, cap, config.grad_tolerance, diameter, state
+            x, edges, lengths, curve.sigma, target, cap, config.grad_tolerance, diameter, None
         )
-    diagnostics.update(max_projected_gradient=gradnorm, step_size_used=None, trials=trials)
+    volume = _area(x, curve.sigma, e)
+    diagnostics = {"max_projected_gradient": gradnorm, "length": total_length(curve), "volume": volume}
+    diagnostics.update(step_size_used=None if h is None else math.ldexp(h, e), trials=trials)
     if accepted is None:
         return curve, diagnostics
-    diagnostics["step_size_used"] = math.ldexp(h, e)
-    if momentum is not None:
-        momentum.update(points=curve.points, k=state["k"], h=diagnostics["step_size_used"])
     return curve.with_points(np.ldexp(accepted[0], e)), diagnostics
 
 
@@ -350,11 +323,10 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
 
     Each step starts at min(config.step_size, L / (4n)), the regular polygon's
     Newton step, and tries momentum first except near a regular polygon,
-    where that Newton step is exact (see flow_step).  The steps run at the
-    starting curve's own power of two, and a curve is built only for each
-    snapshot (see the module docstring).  Convergence hands the last snapshot
-    to classify_equilibrium with the last step's multiplier, lagrange_kappa
-    to the bit; a step with no acceptable size degenerates the run.
+    where that Newton step is exact; the steps run at the starting curve's
+    own power of two (see the module docstring).  Convergence hands the last
+    snapshot to classify_equilibrium with the last step's multiplier,
+    lagrange_kappa to the bit; a step with no acceptable size degenerates the run.
     """
     if not curve.closed:
         raise OpenCurve("the constrained flow is defined for closed curves")
@@ -370,7 +342,7 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
             )
             done = accepted is None or step == config.max_steps  # None: converged or degenerated
             if done or step % config.record_every == 0:
-                length, volume = float(np.ldexp(lengths.sum(), e)), float(np.ldexp(_signed_area(x, sigma), 2 * e))
+                length, volume = float(np.ldexp(lengths.sum(), e)), _area(x, sigma, e)
                 snapshots.append(FlowSnapshot(step, curve.with_points(np.ldexp(x, e)), length, volume, gradnorm))
             if done:
                 break

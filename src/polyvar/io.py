@@ -158,8 +158,7 @@ def analyze_report(curve: DiscreteCurve, name: str, equilibrium: dict | None) ->
         "cusp_vertices": cusp_vertices(curve).tolist(),
     }
     if curve.closed:
-        with np.errstate(over="ignore"):  # an area beyond the float range is written as null
-            doc["enclosed_volume"] = _number(enclosed_volume(curve))
+        doc["enclosed_volume"] = _number(enclosed_volume(curve))  # null where it overflows
         try:
             doc["turning_number"] = turning_number(curve)
         except CuspPresent:

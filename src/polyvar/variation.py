@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _norms, _value_at, rot90, turning_number
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _chords, _norms, _value_at, rot90, turning_number
 from .errors import InternalInconsistency, KappaZero, OpenCurve, ZeroVolumeGradient
 
 
@@ -84,18 +84,18 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
 
 
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
-    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e and 2^e > diameter >= 2^(e-1).
+    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e taken on the points 2^-e, e the curve's power of two.
 
     Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
     (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
-    overflow or underflow of |gradVol|^2 at the ends of the float range
-    (|gradVol_k| = |p_{k+1} - p_{k-1}| / 2 <= diameter / 2).
-    ZeroVolumeGradient if |gradVol| is at most 1e-14 of the curve's diameter.
+    overflow or underflow of the chords or of |gradVol|^2 at the ends of the
+    float range.  ZeroVolumeGradient if |gradVol| is at most 1e-14 of the diameter.
     """
-    diameter = curve.diameter()
-    e = math.frexp(diameter)[1]
-    u = np.ldexp(volume_gradients(curve), -e)
-    return _along(field, u, math.ldexp(diameter, -e)), u, e
+    if not curve.closed:
+        raise OpenCurve("volume gradient requires a closed curve")
+    diameter, e = curve._scale
+    u = _volume_gradients(_chords(np.ldexp(curve.points, -e), True), curve.sigma)
+    return _along(field, u, diameter), u, e
 
 
 def _along(field: np.ndarray, u: np.ndarray, diameter: float) -> float:
@@ -132,11 +132,12 @@ def _kappa(c: float, e: int) -> float:
 
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
-    """Euler-Lagrange residual A_k per vertex; zero iff critical for L + kappa*Vol."""
+    """Euler-Lagrange residual A_k per vertex, with kappa 2^e and the chords 2^-e at the curve's power of two."""
     if not curve.closed:
         raise OpenCurve("equilibrium residual requires a closed curve")
+    e = curve._scale[1]
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    return (nu - nu_prev) + 0.5 * kappa * curve.chords
+    return (nu - nu_prev) + 0.5 * float(np.ldexp(kappa, e)) * _chords(np.ldexp(curve.points, -e), True)
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
@@ -213,20 +214,23 @@ class EquilibriumReport:
 def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10) -> EquilibriumReport:
     """Decide criticality of L + kappa*Vol and extract the regular-polygon data.
 
-    The residual is compared against tol * max(1, |kappa| * diameter).  A
-    positive verdict asserts (not assumes) the regular-polygon structure:
-    uniform edge lengths and turning angles, and kappa * l0 = 2 tan(theta0/2).
+    The residual is compared against tol * max(1, |kappa| * diameter), and
+    one that is not finite never passes; kappa and the lengths are taken at
+    the curve's power of two e, as kappa 2^e and l 2^-e.  A positive verdict
+    asserts (not assumes) the regular-polygon structure: uniform edge lengths
+    and turning angles, and kappa * l0 = 2 tan(theta0/2).
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance {tol} must be finite and positive")
     if kappa == 0.0:
         raise KappaZero("classification requires kappa != 0")
-    residual = equilibrium_residual(curve, kappa)
-    max_residual = float(_norms(residual).max())
-    scale = max(1.0, abs(kappa) * curve.diameter())
-    is_equilibrium = max_residual <= tol * scale
+    max_residual = float(_norms(equilibrium_residual(curve, kappa)).max())
+    diameter, e = curve._scale
+    scaled_kappa = float(np.ldexp(kappa, e))
+    scale = max(1.0, abs(scaled_kappa) * diameter)
+    is_equilibrium = max_residual <= tol * scale and math.isfinite(max_residual)
 
-    l = curve.edge_lengths
+    l = np.ldexp(curve.edge_lengths, -e)
     theta = curve.turning_angles
     l0 = float(l.sum() / curve.edge_count)  # l.mean() to the bit, at a fraction of its overhead
     theta0 = float(theta.sum() / curve.n)
@@ -243,15 +247,13 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         sin_half = np.sin(np.pi * m / curve.n)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
         if np.abs(l - l0).max() > 0.5 * slack * l0 or np.abs(theta - theta0).max() > slack:
-            raise InternalInconsistency(
-                "residual passed but the curve is not a regular polygon"
-            )
-        if abs(kappa * l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(kappa) * l0):
+            raise InternalInconsistency("residual passed but the curve is not a regular polygon")
+        if abs(scaled_kappa * l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(scaled_kappa) * l0):
             raise InternalInconsistency("kappa * l0 = 2 tan(theta0/2) violated")
     return EquilibriumReport(
         is_equilibrium=is_equilibrium,
         max_residual=max_residual,
-        l0=l0,
+        l0=math.ldexp(l0, e),
         theta0=theta0,
         kappa=float(kappa),
         n=curve.n,

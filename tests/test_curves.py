@@ -273,6 +273,14 @@ def test_diameter_is_the_bounding_box_diagonal(rng, n, closed):
         curve = make_curve(p, closed=closed)
         expected = float(np.hypot(*(p.max(axis=0) - p.min(axis=0))))
         assert np.float64(curve.diameter()).tobytes() == np.float64(expected).tobytes()
+    # finite points whose span is beyond the float range: inf, with no overflow warning
+    p = rng.uniform(-1.0, 1.0, (n, 2)) * 1.7e308
+    p[:2] = [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]
+    curve = make_curve(p, closed=closed)
+    assert curve.diameter() == np.inf
+    # the curve's power of two is finite: the diagonal taken on the points times 1/4
+    scaled, e = curve._scale
+    assert (e, np.ldexp(scaled, e - 2)) == (1026, np.hypot(*(p.max(axis=0) / 4 - p.min(axis=0) / 4)))
 
 
 def test_chords_skip_one_vertex(rng):

@@ -23,8 +23,9 @@ from polyvar import (
     turning_angles,
     volume_gradients,
 )
+from polyvar.curves import _signed_area
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
-from polyvar.flow import _along_blocks, _along_chords
+from polyvar.flow import _along_blocks, _along_chords, _scaled, _step
 from polyvar.variation import _along_volume_gradient, _regular_hessian_blocks, _regular_hessian_spectrum
 
 from helpers import random_star_polygon
@@ -278,24 +279,26 @@ def test_flow_step_momentum_state():
     rng = np.random.default_rng([1, 16, 3])
     curve = make_curve(regular_polygon(16).points + 1.0 * rng.standard_normal((16, 2)) / 16)
     config = FlowConfig(step_size=0.2)
-    target = enclosed_volume(curve)
+    _, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)  # one scale for all steps
+    target = _signed_area(x, curve.sigma)
+    args = (curve.sigma, target, cap, config.grad_tolerance, diameter)
     momentum, kinds = {}, []
     for _ in range(10):
-        plain, plain_diag = flow_step(curve, config, target_volume=target)
+        plain = _step(x, edges, lengths, *args, None)
         k = momentum.get("k")
-        new, diag = flow_step(curve, config, target_volume=target, momentum=momentum)
-        assert momentum["points"] is curve.points
-        assert total_length(new) < diag["length"]
+        c, gradnorm, h, trials, accepted = _step(x, edges, lengths, *args, momentum)
+        assert momentum["points"] is x
+        assert accepted[2].sum() < lengths.sum()
         if momentum["k"] == 1:  # a restart, the first step included
             # the same step as the plain one, after the failed momentum trial (none on the first step)
-            assert np.array_equal(new.points, plain.points)
-            assert diag == {**plain_diag, "trials": plain_diag["trials"] + (k is not None)}
-            assert momentum["h"] == diag["step_size_used"]
+            assert np.array_equal(accepted[0], plain[4][0])
+            assert (c, gradnorm, h, trials) == (*plain[:3], plain[3] + (k is not None))
+            assert momentum["h"] == h
             kinds.append("restart")
         else:
-            assert momentum["k"] == k + 1 and diag["step_size_used"] == momentum["h"]
+            assert momentum["k"] == k + 1 and h == momentum["h"]
             kinds.append("momentum")
-        curve = new
+        x, edges, lengths = accepted
     assert kinds[:3] == ["restart", "restart", "momentum"] and "momentum" in kinds[3:]
 
 
@@ -449,19 +452,19 @@ def test_run_flow_benchmark_instances_n4096():
 
 
 def test_run_flow_scale_covariant_below_unit_size():
-    """The flow runs at the curve's own power of two: one step count from 1e-300 to 1e300.
+    """The flow runs at the curve's own power of two: one step count from 1e-300 to 1.7e308.
 
     The first trial L / (4n) and the round-off slack 1e-14 L scale with the
     curve, and the areas are taken on the points times 2^-e, so they neither
-    underflow (below about 1e-162) nor overflow (above about 1e154).  The
-    default step_size caps no step, so above unit size the Newton step is
-    not clipped either.  pyproject.toml turns a RuntimeWarning into a test
-    failure.
+    underflow (below about 1e-162) nor overflow (above about 1e154); from
+    1e308 the diameter overflows, but not e.  The default step_size caps no
+    step, so above unit size the Newton step is not clipped either.
+    pyproject.toml turns a RuntimeWarning into a test failure.
     """
     rng = np.random.default_rng(0)
     points = regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7
     steps = set()
-    scales = (1e-300, 1e-162, 1e-100, 1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100, 1e150, 1e154, 1e300)
+    scales = (1e-300, 1e-162, 1e-100, 1e-12, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100, 1e150, 1e154, 1e300, 1e308, 1.7e308)
     for scale in scales:
         curve = make_curve(points * scale)
         with warnings.catch_warnings():
@@ -470,8 +473,7 @@ def test_run_flow_scale_covariant_below_unit_size():
         assert trajectory.verdict == "converged" and trajectory.report.is_equilibrium
         steps.add(trajectory.steps_taken)
         assert trajectory.kappa_estimate == lagrange_kappa(trajectory.snapshots[-1].curve)
-        if 1e-100 <= scale <= 1e150:  # enclosed_volume neither under- nor overflows
-            assert trajectory.snapshots[0].volume == enclosed_volume(curve)
+        assert trajectory.snapshots[0].volume == enclosed_volume(curve)
     assert steps == {6}
 
 
@@ -487,20 +489,14 @@ def test_run_flow_near_regular_takes_one_trial_per_step():
 
 
 def test_flow_step_replays_run_flow():
-    """flow_step, threading a momentum dict, takes run_flow's steps bit for bit, in the caller's units."""
-    name = "(9, 4)/0"  # momentum, restarts and backtracking
-    curve = make_curve(dict(_far_from_regular())[name])
+    """flow_step takes run_flow's first step bit for bit, in the caller's units."""
+    curve = make_curve(dict(_far_from_regular())["(9, 4)/0"])
     config = FlowConfig(step_size=0.2)
-    trajectory = run_flow(curve, config)
-    assert trajectory.steps_taken == FAR_STEPS[name] and trajectory.trials.max() > 1
-    target, momentum, trials, step_sizes = enclosed_volume(curve), {}, [], []
-    for _ in range(trajectory.steps_taken):
-        curve, diag = flow_step(curve, config, target_volume=target, momentum=momentum)
-        trials.append(diag["trials"])
-        step_sizes.append(diag["step_size_used"])
-    assert np.array_equal(curve.points, trajectory.snapshots[-1].curve.points)
-    assert trials == trajectory.trials.tolist() and step_sizes == trajectory.step_sizes.tolist()
-    assert momentum["h"] == step_sizes[-1]
+    trajectory = run_flow(curve, FlowConfig(step_size=0.2, max_steps=1))
+    new, diag = flow_step(curve, config)
+    assert np.array_equal(new.points, trajectory.snapshots[-1].curve.points)
+    assert [diag["trials"]] == trajectory.trials.tolist()
+    assert [diag["step_size_used"]] == trajectory.step_sizes.tolist()
 
 
 def test_run_flow_leaves_the_input_bare():

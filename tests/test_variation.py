@@ -205,6 +205,18 @@ def test_classify_equilibrium_kappa_zero(sq):
         classify_equilibrium(sq, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e307, 1e308, 1.7e308])
+def test_classify_equilibrium_at_the_top_of_the_float_range(scale):
+    """|kappa| diameter and l0 are taken at the curve's power of two, so an overflowing diameter certifies nothing."""
+    rng = np.random.default_rng(0)
+    perturbed = make_curve((regular_polygon(7).points + 0.05 * rng.standard_normal((7, 2)) / 7) * scale)
+    assert not classify_equilibrium(perturbed, lagrange_kappa(perturbed)).is_equilibrium
+    regular = make_curve(regular_polygon(7).points * scale)
+    report = classify_equilibrium(regular, lagrange_kappa(regular))
+    assert report.is_equilibrium
+    assert report.l0 == pytest.approx(2.0 * np.sin(np.pi / 7) * scale, rel=1e-14)
+
+
 def _residual_svd(n, m):
     """SVD of the central-difference Jacobian of the residual at the regular (n, m) polygon of radius 1."""
     poly = regular_polygon(n, m, 1.0)
