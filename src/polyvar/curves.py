@@ -9,15 +9,15 @@ makes normals of counterclockwise convex polygons point outward.
 
 Every quantity downstream is built from one set of per-edge and per-vertex
 arrays.  A curve computes each of them once, on first use, and keeps it as a
-read-only attribute (m = edge_count):
+read-only attribute (m = edge_count; * taken at the curve's power of two):
 
-  edge_vectors    (m, 2)  p_{k+1} - p_k
-  edge_lengths    (m,)    l_k = |p_{k+1} - p_k|
+  edge_vectors*   (m, 2)  p_{k+1} - p_k
+  edge_lengths*   (m,)    l_k = |p_{k+1} - p_k|
   tangents        (m, 2)  unit edge directions t_k
   edge_normals    (m, 2)  nu_k = R t_k
   turning_angles  (n,)    theta_k in (-pi, pi], NaN at open-curve ends
   cusp_mask       (n,)    True where 1 + cos(theta_k) <= CUSP_TOL
-  chords          (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
+  chords*         (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
   vertex_normals  (n, 2)  N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k),
                           NaN at cusps and open-curve ends
   vertex_tangents (n, 2)  T_k = -R N_k, NaN where N_k is
@@ -25,15 +25,16 @@ read-only attribute (m = edge_count):
                           NaN next to a cusp and on the end edges of an open curve
 
 The functions of the same names (here, in offsets and in curvature) return
-these arrays, and each is computed by one array helper (_edge_vectors,
-_norms, _tangents, _chords, _turning_angles, _signed_area), which the flow
-also calls on its points.  _require_no_cusp is the one cusp rule of the
-readers that refuse a cusp: CuspVertex at the first cusp vertex.
+these arrays, and each is computed by one array helper (_at_scale,
+_edge_vectors, _norms, _tangents, _chords, _turning_angles, _signed_area),
+which the flow also calls on its points.  _require_no_cusp is the one cusp
+rule of the readers that refuse a cusp: CuspVertex at the first cusp vertex.
 
 A curve's own power of two is e with 2^e > diameter >= 2^(e-1) (_scale_of).
-The area, the flow, the multiplier and the classifier work on the points
-times 2^-e, which keeps every bit, so that no area or product with kappa
-under- or overflows at any scale; _area scales an area taken there back.
+The curve keeps x = points 2^-e and its edges, lengths and chords, which keeps
+every bit (ZeroEdge where an edge vanishes there); tangents come from these,
+and diameter(), total_length and the * arrays are these times 2^e (_unscaled,
+inf on overflow).  The area, flow, multiplier and classifier work there too.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
@@ -144,27 +145,31 @@ class DiscreteCurve:
 
     def diameter(self) -> float:
         """Bounding-box diagonal; the length scale used by tolerances, inf where it overflows."""
-        return self._diameter
-
-    @cached_property
-    def _diameter(self) -> float:
-        return _bounding_diagonal(self.points)
+        return float(_unscaled(*self._scale))
 
     @cached_property
     def _scale(self) -> tuple[float, int]:
-        return _scale_of(self.points, self._diameter)
+        return _scale_of(self.points)
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, _at_scale(self.points, self.closed, self._scale[1])))
+
+    @cached_property
+    def _scaled_chords(self) -> np.ndarray:
+        return _frozen(_chords(self._scaled[0], self.closed))
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return _frozen(_edge_vectors(self.points, self.closed))
+        return _frozen(_unscaled(self._scaled[1], self._scale[1]))
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        return _frozen(_norms(self.edge_vectors))
+        return _frozen(_unscaled(self._scaled[2], self._scale[1]))
 
     @cached_property
     def tangents(self) -> np.ndarray:
-        return _frozen(_tangents(self.edge_vectors, self.edge_lengths))
+        return _frozen(_tangents(*self._scaled[1:]))
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -172,7 +177,7 @@ class DiscreteCurve:
 
     @cached_property
     def chords(self) -> np.ndarray:
-        return _frozen(_chords(self.points, self.closed))
+        return _frozen(_unscaled(self._scaled_chords, self._scale[1]))
 
     @cached_property
     def _snapped_angles(self):
@@ -233,13 +238,27 @@ def _bounding_diagonal(points: np.ndarray) -> float:
         return float(np.hypot(span[0], span[1]))
 
 
-def _scale_of(points: np.ndarray, diameter: float | None = None) -> tuple[float, int]:
+def _scale_of(points: np.ndarray) -> tuple[float, int]:
     """(diameter 2^-e, e), 2^e > diameter >= 2^(e-1), the points' bounding diagonal; e stays finite where it overflows."""
-    diameter = _bounding_diagonal(points) if diameter is None else diameter
+    diameter = _bounding_diagonal(points)
     if diameter == math.inf:  # taken on the points times 1/4
         scaled, e = _scale_of(np.ldexp(points, -2))
         return scaled, e + 2
     return math.frexp(diameter)
+
+
+def _at_scale(points: np.ndarray, closed: bool, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x = np.ldexp(points, -e)
+    edges = _edge_vectors(x, closed)
+    lengths = _norms(edges)
+    if not lengths.all():  # an edge shorter than about 2^(e-1075) vanishes at this scale
+        raise ZeroEdge(int(lengths.argmin()))
+    return x, edges, lengths
+
+
+def _unscaled(values, e: int):
+    with np.errstate(over="ignore"):  # values 2^e, inf where that overflows, with no warning
+        return np.ldexp(values, e)
 
 
 def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -373,7 +392,7 @@ def _require_no_cusp(cusp: np.ndarray):
 
 
 def total_length(curve: DiscreteCurve) -> float:
-    return float(curve.edge_lengths.sum())
+    return float(_unscaled(curve._scaled[2].sum(), curve._scale[1]))
 
 
 def enclosed_volume(curve: DiscreteCurve) -> float:
@@ -386,8 +405,7 @@ def enclosed_volume(curve: DiscreteCurve) -> float:
 
 def _area(x: np.ndarray, sigma: int, e: int) -> float:
     """_signed_area of the points x 2^e, taken on x and scaled back by 2^2e (inf where that overflows)."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_signed_area(x, sigma), 2 * e))
+    return float(_unscaled(_signed_area(x, sigma), 2 * e))
 
 
 def _signed_area(points: np.ndarray, sigma: int) -> float:

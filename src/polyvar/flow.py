@@ -69,8 +69,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _area, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area, _tangents
-from .curves import _turning_angles, _turning_number, rot90, total_length
+from .curves import DiscreteCurve, _area, _at_scale, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area
+from .curves import _tangents, _turning_angles, _turning_number, _unscaled, rot90
 from .errors import CuspPresent, NonIntegerTurning, OpenCurve
 from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
 from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
@@ -287,9 +287,7 @@ def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
 def _scaled(curve: DiscreteCurve, step_size: float):
     """(e, x, edges, lengths, cap, diameter) at x = points 2^-e, e the curve's power of two; under the flow's errstate."""
     diameter, e = _scale_of(curve.points)
-    x = np.ldexp(curve.points, -e)
-    edges = _edge_vectors(x, True)
-    return e, x, edges, _norms(edges), float(np.ldexp(step_size, -e)), diameter
+    return e, *_at_scale(curve.points, True, e), float(np.ldexp(step_size, -e)), diameter
 
 
 def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | None = None):
@@ -310,8 +308,8 @@ def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | N
         _, gradnorm, h, trials, accepted = _step(
             x, edges, lengths, curve.sigma, target, cap, config.grad_tolerance, diameter, None
         )
-    volume = _area(x, curve.sigma, e)
-    diagnostics = {"max_projected_gradient": gradnorm, "length": total_length(curve), "volume": volume}
+    length, volume = float(_unscaled(lengths.sum(), e)), _area(x, curve.sigma, e)
+    diagnostics = {"max_projected_gradient": gradnorm, "length": length, "volume": volume}
     diagnostics.update(step_size_used=None if h is None else math.ldexp(h, e), trials=trials)
     if accepted is None:
         return curve, diagnostics

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_no_cusp, _value_at
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_no_cusp, _value_at, total_length
 from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
@@ -151,7 +151,7 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     elif variant == "segment":
         _require_corners_away(curve, t, variant)
     theta = curve.turning_angles
-    length = float(curve.edge_lengths.sum())
+    length = total_length(curve)
     if variant == "segment":
         return length - t * float(np.sum(2.0 * np.sin(0.5 * theta)))
     if variant == "arc":

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _chords, _norms, _value_at, rot90, turning_number
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _norms, _unscaled, _value_at, rot90, turning_number
 from .errors import InternalInconsistency, KappaZero, OpenCurve, ZeroVolumeGradient
 
 
@@ -84,7 +84,7 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
 
 
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
-    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e taken on the points 2^-e, e the curve's power of two.
+    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e from the curve's chords at its power of two e.
 
     Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
     (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
@@ -94,7 +94,7 @@ def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
     if not curve.closed:
         raise OpenCurve("volume gradient requires a closed curve")
     diameter, e = curve._scale
-    u = _volume_gradients(_chords(np.ldexp(curve.points, -e), True), curve.sigma)
+    u = _volume_gradients(curve._scaled_chords, curve.sigma)
     return _along(field, u, diameter), u, e
 
 
@@ -132,12 +132,11 @@ def _kappa(c: float, e: int) -> float:
 
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
-    """Euler-Lagrange residual A_k per vertex, with kappa 2^e and the chords 2^-e at the curve's power of two."""
+    """Euler-Lagrange residual A_k per vertex, from kappa 2^e and the curve's chords 2^-e at its power of two e."""
     if not curve.closed:
         raise OpenCurve("equilibrium residual requires a closed curve")
-    e = curve._scale[1]
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    return (nu - nu_prev) + 0.5 * float(np.ldexp(kappa, e)) * _chords(np.ldexp(curve.points, -e), True)
+    return (nu - nu_prev) + 0.5 * float(np.ldexp(kappa, curve._scale[1])) * curve._scaled_chords
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
@@ -215,10 +214,10 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     """Decide criticality of L + kappa*Vol and extract the regular-polygon data.
 
     The residual is compared against tol * max(1, |kappa| * diameter), and
-    one that is not finite never passes; kappa and the lengths are taken at
-    the curve's power of two e, as kappa 2^e and l 2^-e.  A positive verdict
-    asserts (not assumes) the regular-polygon structure: uniform edge lengths
-    and turning angles, and kappa * l0 = 2 tan(theta0/2).
+    one that is not finite never passes; kappa 2^e and the curve's lengths 2^-e
+    are taken at its power of two e, and l0 is inf where it overflows.  A positive
+    verdict asserts (not assumes) the regular-polygon structure: uniform edge
+    lengths and turning angles, and kappa * l0 = 2 tan(theta0/2).
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance {tol} must be finite and positive")
@@ -230,7 +229,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     scale = max(1.0, abs(scaled_kappa) * diameter)
     is_equilibrium = max_residual <= tol * scale and math.isfinite(max_residual)
 
-    l = np.ldexp(curve.edge_lengths, -e)
+    l = curve._scaled[2]
     theta = curve.turning_angles
     l0 = float(l.sum() / curve.edge_count)  # l.mean() to the bit, at a fraction of its overhead
     theta0 = float(theta.sum() / curve.n)
@@ -253,7 +252,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     return EquilibriumReport(
         is_equilibrium=is_equilibrium,
         max_residual=max_residual,
-        l0=math.ldexp(l0, e),
+        l0=float(_unscaled(l0, e)),
         theta0=theta0,
         kappa=float(kappa),
         n=curve.n,

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -6,12 +8,15 @@ import pytest
 import polyvar as pv
 from polyvar import (
     DiscreteCurve,
+    classify_equilibrium,
+    curves,
     cusp_vertices,
     edge_lengths,
     edge_normal,
     edge_normals,
     edge_vectors,
     enclosed_volume,
+    lagrange_kappa,
     make_curve,
     regular_polygon,
     rot90,
@@ -19,6 +24,8 @@ from polyvar import (
     turning_angle,
     turning_angles,
     turning_number,
+    vertex_curvatures,
+    volume_gradients,
 )
 from polyvar.curves import _dot, _signed_area
 from polyvar.errors import (
@@ -46,6 +53,11 @@ def test_make_curve_square(sq):
 def test_make_curve_zero_edge():
     with pytest.raises(ZeroEdge) as err:
         make_curve([(0, 0), (0, 0), (1, 0)], closed=False)
+    assert err.value.k == 0
+    # an edge that vanishes at the curve's power of two is found when its arrays are first computed
+    tiny = make_curve([(0, 0), (5e-324, 0), (1, 0.5), (0, 1)])
+    with pytest.raises(ZeroEdge) as err:
+        turning_angles(tiny)
     assert err.value.k == 0
 
 
@@ -197,6 +209,9 @@ def test_turning_numbers(sq, pent52):
     assert turning_number(pent52) == -2
     assert turning_number(DiscreteCurve(sq.points, sigma=1)) == 1
     assert turning_number(DiscreteCurve(pent52.points, sigma=1)) == 2
+    # finite points whose edges overflow: the angles are taken at the curve's power of two
+    wide = make_curve([(-1.7e308, 0), (1.7e308, 0), (0, 1e308)])
+    assert np.isfinite(turning_angles(wide)).all() and turning_number(wide) == -1
 
 
 def test_turning_number_cusp_rejected():
@@ -265,6 +280,48 @@ def test_cached_arrays_are_read_only(sq):
             public(sq)[0] = 5.0
 
 
+def test_chords_computed_once_per_curve(monkeypatch):
+    """The curvature, the multiplier, the classifier and the area gradient share one chords array."""
+    calls = []
+    chords = curves._chords
+
+    def counted(points, closed):
+        calls.append(points)
+        return chords(points, closed)
+
+    for info in pkgutil.iter_modules(pv.__path__):
+        module = importlib.import_module(f"polyvar.{info.name}")
+        if getattr(module, "_chords", None) is chords:
+            monkeypatch.setattr(module, "_chords", counted)
+    curve = random_star_polygon(np.random.default_rng(0), 16)
+    vertex_curvatures(curve, "vertex_osculating")
+    classify_equilibrium(curve, lagrange_kappa(curve))
+    volume_gradients(curve)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_power_of_two_scale_keeps_every_bit(rng, closed):
+    """At 2^k a curve's edges, lengths and chords are the unit curve's times 2^k, and its angles are the unit curve's.
+
+    Where they overflow they are inf, with no warning (pyproject.toml turns
+    a RuntimeWarning into a test failure).
+    """
+    for n in (3, 8, 64):
+        p = rng.uniform(-1.0, 1.0, (n, 2))
+        p[:2] = [[-1.0, -1.0], [1.0, 1.0]]  # edge 0 is (2, 2): beyond the float range at 2^1023
+        unit = make_curve(p, closed=closed)
+        for k in [*range(-990, 1001, 10), 1023]:
+            curve = make_curve(np.ldexp(p, k), closed=closed)
+            for name in ("edge_vectors", "edge_lengths", "chords"):
+                with np.errstate(over="ignore"):
+                    expected = np.ldexp(getattr(unit, name), k)
+                assert getattr(curve, name).tobytes() == expected.tobytes()
+            for name in ("tangents", "edge_normals", "turning_angles"):
+                assert getattr(curve, name).tobytes() == getattr(unit, name).tobytes()
+        assert np.isinf(curve.edge_vectors[0]).all() and curve.edge_lengths[0] == np.inf
+
+
 @pytest.mark.parametrize("n", [3, 4096])
 @pytest.mark.parametrize("closed", [True, False])
 def test_diameter_is_the_bounding_box_diagonal(rng, n, closed):
@@ -290,6 +347,8 @@ def test_chords_skip_one_vertex(rng):
     path = make_curve(pts, closed=False)
     assert np.array_equal(path.chords[1:-1], pts[2:] - pts[:-2])
     assert np.all(np.isnan(path.chords[[0, -1]]))
+    # chords beyond the float range are inf, with no overflow warning
+    assert np.isinf(regular_polygon(7, a=1.7e308).chords).any()
 
 
 def test_cusp_warning_once_per_curve():

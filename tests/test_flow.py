@@ -474,7 +474,21 @@ def test_run_flow_scale_covariant_below_unit_size():
         steps.add(trajectory.steps_taken)
         assert trajectory.kappa_estimate == lagrange_kappa(trajectory.snapshots[-1].curve)
         assert trajectory.snapshots[0].volume == enclosed_volume(curve)
+        assert trajectory.snapshots[0].length == total_length(curve)  # inf from 1e308, with no warning
     assert steps == {6}
+
+
+def test_run_flow_edges_beyond_float_range():
+    """Finite points whose edges overflow: kappa and the flow are taken at the curve's power of two, and l0 is inf."""
+    points = np.array([(-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308)])
+    wide = make_curve(points)
+    unit_kappa = lagrange_kappa(make_curve(np.ldexp(points, -1024)))
+    assert lagrange_kappa(wide) == pytest.approx(np.ldexp(unit_kappa, -1024), rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = run_flow(wide)
+    assert trajectory.verdict == "converged" and trajectory.steps_taken == 10
+    assert trajectory.report.is_equilibrium and trajectory.report.l0 == np.inf
 
 
 def test_run_flow_near_regular_takes_one_trial_per_step():
@@ -502,6 +516,7 @@ def test_flow_step_replays_run_flow():
 def test_run_flow_leaves_the_input_bare():
     curve = _perturbed_octagon(0)
     run_flow(curve, FlowConfig(step_size=0.2))
+    flow_step(curve, FlowConfig(step_size=0.2))
     assert sorted(vars(curve)) == ["closed", "points", "sigma"]
 
 

@@ -325,6 +325,19 @@ def test_cli_square_at_float_range_ends(side, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_triangle_with_edges_beyond_float_range(tmp_path, capsys):
+    # its edges overflow, but not its angles or kappa; its length, area and l0 are beyond the float range
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "closed": True, "sigma": -1,
+                                "points": [[-1.7e308, 0], [1.7e308, 0], [0, 1e308]]}))
+    assert run_cli("analyze", "--in", str(path), "--out", str(tmp_path / "a")) == 0
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert doc["turning_number"] == -1
+    assert doc["total_length"] is doc["enclosed_volume"] is doc["equilibrium"]["l0"] is None
+    err = capsys.readouterr().err
+    assert err.startswith("equilibrium: no") and err.count("\n") == 1
+
+
 def test_cli_square_below_float_range_fails_cleanly(tmp_path, capsys):
     # at side 1e-308 the curvatures overflow to inf (empty cells) and kappa overflows
     path = _square_file(tmp_path, 1e-308)
