@@ -10,16 +10,16 @@ classical notions:
   hatakeyama         L_k = l_{k-1}
   half_edge_sum      L_k = (l_k + l_{k-1}) / 2
 
-A custom scheme is any array of positive per-vertex values.  Vectorized
-functions mark pointwise-inapplicable vertices (cusps) with NaN; the scalar
-accessors raise instead.
+A custom scheme is any array of positive per-vertex values; a named one is
+taken at the curve's power of two (see curves).  Vectorized functions mark
+pointwise-inapplicable vertices (cusps) with NaN; scalar accessors raise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _edge_endpoint_angles, _value_at
+from .curves import DiscreteCurve, _at_cusp_free_edges, _at_edges, _at_vertices, _norms, _unscaled, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
 from .variation import length_gradients
 
@@ -32,11 +32,16 @@ ARCLENGTH_UNIFORM_TOL = 1e-9
 def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
     """Per-vertex line element L_k for the chosen scheme.
 
-    NaN at open-curve boundary vertices and at vertices where the scheme is
-    pointwise undefined (cusps under vertex_osculating/arclength).  Raises
-    SchemeInapplicable for curve-wide failures: arclength on a curve with
-    non-uniform edge lengths, or an invalid custom array.
+    NaN at open-curve ends and where the scheme is pointwise undefined (cusps
+    under vertex_osculating/arclength).  SchemeInapplicable for curve-wide
+    failures: arclength on non-uniform edge lengths, an invalid custom array.
+    A named scheme is taken at the curve's power of two, inf where it overflows.
     """
+    return _unscaled(*_line_elements(curve, scheme))
+
+
+def _line_elements(curve: DiscreteCurve, scheme):
+    """(L_k 2^-e, e): a named scheme at the curve's power of two e, a custom array with e = 0."""
     if not isinstance(scheme, str):
         custom = np.array(scheme, dtype=float)
         if custom.shape != (curve.n,):
@@ -45,30 +50,28 @@ def line_elements(curve: DiscreteCurve, scheme) -> np.ndarray:
             raise SchemeInapplicable("custom line elements must be positive")
         if not curve.closed:
             custom[0] = custom[-1] = np.nan
-        return custom
+        return custom, 0
 
-    l_prev, l_next = _at_vertices(curve.closed, curve.edge_lengths)
+    l_prev, l_next = _at_vertices(curve.closed, curve._scaled[2])
     if scheme == "hatakeyama":
-        return np.where(np.isnan(l_next), np.nan, l_prev)  # NaN at both open ends
+        return np.where(np.isnan(l_next), np.nan, l_prev), curve._scale[1]  # NaN at both open ends
     if scheme == "half_edge_sum":
-        return 0.5 * (l_prev + l_next)
+        return 0.5 * (l_prev + l_next), curve._scale[1]
 
-    half_cos = np.cos(0.5 * curve.turning_angles)
     if scheme == "vertex_osculating":
-        chord = curve.chords
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.hypot(chord[:, 0], chord[:, 1]) / (2.0 * half_cos)
+            out = _norms(curve._scaled_chords) / (2.0 * curve._half_angles[1])
     elif scheme == "arclength":
-        l = curve.edge_lengths
+        l = curve._scaled[2]
         l_mean = l.mean()
         if np.max(np.abs(l - l_mean)) / l_mean >= ARCLENGTH_UNIFORM_TOL:
             raise SchemeInapplicable("arclength scheme requires uniform edge lengths")
-        out = l_mean * half_cos
+        out = l_mean * curve._half_angles[1]
     else:
         raise SchemeInapplicable(f"unknown line element scheme {scheme!r}")
     out[curve.cusp_mask] = np.nan
     out[~(out > 0)] = np.nan  # open ends and folded vertices (chord = 0)
-    return out
+    return out, curve._scale[1]
 
 
 def _scheme_undefined(k: int) -> SchemeInapplicable:
@@ -84,7 +87,8 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
 
     Equals minus the length gradient over L_k; independent of sigma.
     """
-    return -length_gradients(curve) / line_elements(curve, scheme)[:, None]
+    values, e = _line_elements(curve, scheme)
+    return _unscaled(-length_gradients(curve) / values[:, None], -e)
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
@@ -93,9 +97,9 @@ def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
 
 def vertex_curvatures(curve: DiscreteCurve, scheme) -> np.ndarray:
     """Signed curvature kappa(p_k) = 2 sin(theta_k/2) / L_k per vertex."""
-    theta = curve.turning_angles
+    values, e = _line_elements(curve, scheme)
     with np.errstate(invalid="ignore", over="ignore"):
-        return 2.0 * np.sin(0.5 * theta) / line_elements(curve, scheme)
+        return _unscaled(2.0 * curve._half_angles[0] / values, -e)
 
 
 def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
@@ -104,9 +108,8 @@ def vertex_curvature(curve: DiscreteCurve, scheme, k: int) -> float:
 
 def edge_line_elements(curve: DiscreteCurve) -> np.ndarray:
     """Edge line element L'_k = l_k cos(theta_k/2) cos(theta_{k+1}/2)."""
-    th0, th1 = _edge_endpoint_angles(curve)
-    with np.errstate(invalid="ignore"):
-        out = curve.edge_lengths * np.cos(0.5 * th0) * np.cos(0.5 * th1)
+    cos0, cos1 = _at_cusp_free_edges(curve, curve._half_angles[1])
+    out = _unscaled(curve._scaled[2] * cos0 * cos1, curve._scale[1])
     out[~(out > 0)] = np.nan
     return out
 

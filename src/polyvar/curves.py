@@ -21,25 +21,26 @@ read-only attribute (m = edge_count; * taken at the curve's power of two):
   vertex_normals  (n, 2)  N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k),
                           NaN at cusps and open-curve ends
   vertex_tangents (n, 2)  T_k = -R N_k, NaN where N_k is
+  _half_angles    3x(n,)  sin, cos and tan of theta_k/2, the one place they are taken
   edge_curvatures (m,)    kappa(e_k) = (tan(theta_k/2) + tan(theta_{k+1}/2)) / l_k,
                           NaN next to a cusp and on the end edges of an open curve
 
 The functions of the same names (here, in offsets and in curvature) return
 these arrays, and each is computed by one array helper (_at_scale,
 _edge_vectors, _norms, _tangents, _chords, _turning_angles, _signed_area),
-which the flow also calls on its points.  _require_no_cusp is the one cusp
-rule of the readers that refuse a cusp: CuspVertex at the first cusp vertex.
+which the flow also calls on its points.  The one cusp rule is
+_require_no_cusp (CuspVertex), the one closed-curve rule _require_closed.
 
 A curve's own power of two is e with 2^e > diameter >= 2^(e-1) (_scale_of).
 The curve keeps x = points 2^-e and its edges, lengths and chords, which keeps
 every bit (ZeroEdge where an edge vanishes there); tangents come from these,
 and diameter(), total_length and the * arrays are these times 2^e (_unscaled,
-inf on overflow).  The area, flow, multiplier and classifier work there too.
+inf on overflow).  Curvatures, area, flow, multiplier, classifier work there.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from
-both neighbours is NaN where an open curve ends.  _at_vertices and _at_edges
-apply this rule, and _value_at is the one single-index lookup.
+both neighbours is NaN where an open curve ends (_at_vertices, _at_edges; and
+at cusps too, _at_cusp_free_edges).  _value_at is the one single-index lookup.
 """
 
 from __future__ import annotations
@@ -210,10 +211,15 @@ class DiscreteCurve:
         return _frozen(-rot90(self.vertex_normals, self.sigma))
 
     @cached_property
+    def _half_angles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        half = 0.5 * self.turning_angles
+        return _frozen(np.sin(half)), _frozen(np.cos(half)), _frozen(np.tan(half))
+
+    @cached_property
     def edge_curvatures(self) -> np.ndarray:
-        th0, th1 = _edge_endpoint_angles(self)
+        tan0, tan1 = _at_cusp_free_edges(self, self._half_angles[2])
         with np.errstate(invalid="ignore", over="ignore"):
-            return _frozen((np.tan(0.5 * th0) + np.tan(0.5 * th1)) / self.edge_lengths)
+            return _frozen(_unscaled((tan0 + tan1) / self._scaled[2], -self._scale[1]))
 
 
 def _at_vertices(closed: bool, per_edge: np.ndarray):
@@ -293,9 +299,9 @@ def _turning_angles(tangents: np.ndarray, sigma: int, closed: bool):
     return theta, cusp
 
 
-def _edge_endpoint_angles(curve: DiscreteCurve):
-    """(theta_k, theta_{k+1}) per edge, NaN at cusps or outside the interior."""
-    return _at_edges(curve.closed, np.where(curve.cusp_mask, np.nan, curve.turning_angles))
+def _at_cusp_free_edges(curve: DiscreteCurve, per_vertex: np.ndarray):
+    """(a_k, a_{k+1}) per edge of a per-vertex array, NaN at cusps or outside the interior."""
+    return _at_edges(curve.closed, np.where(curve.cusp_mask, np.nan, per_vertex))
 
 
 def _value_at(curve: DiscreteCurve, values: np.ndarray, k: int, undefined=None):
@@ -391,14 +397,18 @@ def _require_no_cusp(cusp: np.ndarray):
         raise CuspVertex(int(cusp.argmax()))
 
 
+def _require_closed(curve: DiscreteCurve, what: str):
+    if not curve.closed:
+        raise OpenCurve(f"{what} requires a closed curve")
+
+
 def total_length(curve: DiscreteCurve) -> float:
     return float(_unscaled(curve._scaled[2].sum(), curve._scale[1]))
 
 
 def enclosed_volume(curve: DiscreteCurve) -> float:
     """Signed area (1/2) sum <p_k, nu_k> l_k, at the curve's power of two; sign depends on orientation and sigma."""
-    if not curve.closed:
-        raise OpenCurve("enclosed volume requires a closed curve")
+    _require_closed(curve, "the enclosed volume")
     e = _scale_of(curve.points)[1]  # caches nothing on the curve
     return _area(np.ldexp(curve.points, -e), curve.sigma, e)
 
@@ -423,8 +433,7 @@ def _signed_area(points: np.ndarray, sigma: int) -> float:
 
 def turning_number(curve: DiscreteCurve) -> int:
     """Integer m with sum(theta_k) = 2*pi*m; CuspVertex (a CuspPresent) at the first cusp."""
-    if not curve.closed:
-        raise OpenCurve("turning number requires a closed curve")
+    _require_closed(curve, "the turning number")
     return _turning_number(*curve._snapped_angles)
 
 

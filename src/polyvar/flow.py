@@ -70,8 +70,8 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import DiscreteCurve, _area, _at_scale, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area
-from .curves import _tangents, _turning_angles, _turning_number, _unscaled, rot90
-from .errors import CuspPresent, NonIntegerTurning, OpenCurve
+from .curves import _require_closed, _tangents, _turning_angles, _turning_number, _unscaled, rot90
+from .errors import CuspPresent, NonIntegerTurning
 from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
 from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
 from .variation import lagrange_kappa, project_volume_preserving  # re-exported
@@ -326,8 +326,7 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
     snapshot to classify_equilibrium with the last step's multiplier,
     lagrange_kappa to the bit; a step with no acceptable size degenerates the run.
     """
-    if not curve.closed:
-        raise OpenCurve("the constrained flow is defined for closed curves")
+    _require_closed(curve, "the constrained flow")
     snapshots: list[FlowSnapshot] = []
     sigma, trials, step_sizes, momentum = curve.sigma, [], [], {}
     # an overflowing trial step fails the area test; its numpy warnings would only reach stderr

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_no_cusp, _value_at, total_length
-from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse, OpenCurve
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_closed, _require_no_cusp, _value_at, total_length
+from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
 
@@ -64,21 +64,20 @@ def weighted_vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
     return _value_at(curve, weighted_vertex_normals(curve), k)
 
 
-def _check_offset(curve: DiscreteCurve, t: float, open_message: str):
-    """Reject a distance t that is not finite, then an open curve."""
+def _check_offset(curve: DiscreteCurve, t: float, what: str):
+    """Reject a distance t that is not finite, then an open curve (OpenCurve names what)."""
     if not np.isfinite(t):
         raise ValueError(f"offset distance t = {t} is not finite")
-    if not curve.closed:
-        raise OpenCurve(open_message)
+    _require_closed(curve, what)
 
 
-def _offset_factors(curve: DiscreteCurve, t: float, open_message: str) -> np.ndarray:
+def _offset_factors(curve: DiscreteCurve, t: float, what: str) -> np.ndarray:
     """1 - t * kappa(e_k) per edge of a closed, cusp-free curve.
 
     EdgeCollapse where a factor is at or below EDGE_COLLAPSE_TOL: that edge
     of the offset would vanish or point backwards.
     """
-    _check_offset(curve, t, open_message)
+    _check_offset(curve, t, what)
     _require_no_cusp(curve.cusp_mask)
     factors = 1.0 - t * curve.edge_curvatures
     collapsing = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
@@ -101,7 +100,7 @@ def _require_corners_away(curve: DiscreteCurve, t: float, variant: str):
 
 def parallel_curve(curve: DiscreteCurve, t: float) -> DiscreteCurve:
     """Offset curve p_k + t N_k; every edge stays parallel to its source edge."""
-    _offset_factors(curve, t, "parallel offsets require a closed curve")
+    _offset_factors(curve, t, "a parallel offset")
     return curve.with_points(curve.points + t * vertex_normals(curve))
 
 
@@ -120,7 +119,7 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
     Requires 1 - t * kappa(e_k) > 0 on every edge (no sign flip under the
     absolute value).
     """
-    factors = _offset_factors(curve, t, "Steiner report requires a closed curve")
+    factors = _offset_factors(curve, t, "the Steiner report")
     predicted = curve.edge_lengths * factors
     actual = curve.with_points(curve.points + t * vertex_normals(curve)).edge_lengths
     return SteinerReport(
@@ -145,19 +144,18 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     it is not the length of an offset curve, and polyvar offset marks the
     row corner_overlap).
     """
-    _check_offset(curve, t, "offset lengths require a closed curve")
+    _check_offset(curve, t, "the offset length")
     if variant == "wedge":
         _require_no_cusp(curve.cusp_mask)  # before the turning angles warn about the cusp
     elif variant == "segment":
         _require_corners_away(curve, t, variant)
-    theta = curve.turning_angles
     length = total_length(curve)
     if variant == "segment":
-        return length - t * float(np.sum(2.0 * np.sin(0.5 * theta)))
+        return length - t * float(np.sum(2.0 * curve._half_angles[0]))
     if variant == "arc":
-        return length - t * float(theta.sum())
+        return length - t * float(curve.turning_angles.sum())
     if variant == "wedge":
-        return length - t * float(np.sum(2.0 * np.tan(0.5 * theta)))
+        return length - t * float(np.sum(2.0 * curve._half_angles[2]))
     raise ValueError(f"unknown offset variant {variant!r}")
 
 
@@ -171,7 +169,7 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
     if variant == "wedge":
         return parallel_curve(curve, t)
     if variant == "segment":
-        _check_offset(curve, t, "segment offsets require a closed curve")
+        _check_offset(curve, t, "the segment offset")
         nu = curve.edge_normals
         pts, nxt = _at_edges(curve.closed, curve.points)
         doubled = np.empty((2 * curve.n, 2))

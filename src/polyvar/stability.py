@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, _require_no_cusp, rot90
-from .errors import MeanNotZero, NotEquilibrium, OpenCurve
+from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
+from .errors import MeanNotZero, NotEquilibrium
 from .variation import _check_field, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
@@ -27,8 +27,7 @@ MEAN_TOL = 1e-10
 
 def qv_form(curve: DiscreteCurve, field) -> float:
     """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol."""
-    if not curve.closed:
-        raise OpenCurve("the volume form requires a closed curve")
+    _require_closed(curve, "the volume form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
     return float(np.sum(v * rot90(v_next, curve.sigma)))
 
@@ -38,8 +37,7 @@ def ql_form(curve: DiscreteCurve, field) -> float:
 
     R nu_k = -t_k, so the projection is taken on the unit tangent.
     """
-    if not curve.closed:
-        raise OpenCurve("the length form requires a closed curve")
+    _require_closed(curve, "the length form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
     l = curve.edge_lengths
     grad = (v_next - v) / l[:, None]
@@ -251,8 +249,7 @@ def fourier_decompose(curve: DiscreteCurve) -> np.ndarray:
     coefficient c_m = a.  Every polygon is the coefficient-weighted sum of the
     regular polygons exp(2 pi i j k / n).
     """
-    if not curve.closed:
-        raise OpenCurve("Fourier decomposition requires a closed curve")
+    _require_closed(curve, "the Fourier decomposition")
     z = curve.points[:, 0] + 1j * curve.points[:, 1]
     return np.fft.fft(z) / curve.n
 

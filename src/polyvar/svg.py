@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegeneracyError
+
 WIDTH = 640  # of the picture in user units; its height follows the viewBox's aspect ratio
 
 PALETTE = (
@@ -42,13 +44,15 @@ def render(layers, comment=None) -> str:
     xy = np.hstack([layer.points.T for layer in layers])  # (2, N): reduce along the long axis
     lo = xy.min(axis=1)
     hi = xy.max(axis=1)
-    span = hi - lo
-    pad = 0.1 * max(span[0], span[1])
-    lo = lo - pad
-    hi = hi + pad
-    w, h = hi - lo
-    diag = float(np.hypot(w, h))
-    height = WIDTH * h / w
+    with np.errstate(over="ignore", invalid="ignore"):  # a box beyond the float range is refused below
+        span = hi - lo
+        pad = 0.1 * max(span[0], span[1])
+        lo, hi = lo - pad, hi + pad
+        w, h = hi - lo
+        diag = float(np.hypot(w, h))
+        height = WIDTH * h / w
+        if not np.isfinite([w, h, diag, height, lo[1] + hi[1]]).all():
+            raise DegeneracyError(f"the picture's box, {_num(w)} by {_num(h)}, is beyond the float range")
     stroke = 0.004 * diag
     marker_r = 0.01 * diag
 

@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _norms, _unscaled, _value_at, rot90, turning_number
-from .errors import InternalInconsistency, KappaZero, OpenCurve, ZeroVolumeGradient
+from .curves import DiscreteCurve, _at_edges, _at_vertices, _norms, _require_closed, _unscaled, _value_at, rot90
+from .curves import turning_number
+from .errors import InternalInconsistency, KappaZero, ZeroVolumeGradient
 
 
 def length_gradients(curve: DiscreteCurve) -> np.ndarray:
@@ -41,8 +42,7 @@ def length_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
 
 def volume_gradients(curve: DiscreteCurve) -> np.ndarray:
     """Gradient of the signed enclosed area per vertex: (1/2) R(p_{k+1} - p_{k-1})."""
-    if not curve.closed:
-        raise OpenCurve("volume gradient requires a closed curve")
+    _require_closed(curve, "the volume gradient")
     return _volume_gradients(curve.chords, curve.sigma)
 
 
@@ -91,8 +91,7 @@ def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
     overflow or underflow of the chords or of |gradVol|^2 at the ends of the
     float range.  ZeroVolumeGradient if |gradVol| is at most 1e-14 of the diameter.
     """
-    if not curve.closed:
-        raise OpenCurve("volume gradient requires a closed curve")
+    _require_closed(curve, "the volume gradient")
     diameter, e = curve._scale
     u = _volume_gradients(curve._scaled_chords, curve.sigma)
     return _along(field, u, diameter), u, e
@@ -133,16 +132,14 @@ def _kappa(c: float, e: int) -> float:
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Euler-Lagrange residual A_k per vertex, from kappa 2^e and the curve's chords 2^-e at its power of two e."""
-    if not curve.closed:
-        raise OpenCurve("equilibrium residual requires a closed curve")
+    _require_closed(curve, "the equilibrium residual")
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
     return (nu - nu_prev) + 0.5 * float(np.ldexp(kappa, curve._scale[1])) * curve._scaled_chords
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria."""
-    if not curve.closed:
-        raise OpenCurve("conservation vectors require a closed curve")
+    _require_closed(curve, "the conservation vector")
     p, p_next = _at_edges(curve.closed, curve.points)
     return curve.edge_normals + 0.5 * kappa * (p_next + p)
 

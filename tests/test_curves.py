@@ -300,12 +300,43 @@ def test_chords_computed_once_per_curve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_half_angle_functions_computed_once_per_curve(monkeypatch):
+    """The curvatures, line elements and offset lengths share one sin, cos and tan of theta_k / 2."""
+    calls = dict.fromkeys(("sin", "cos", "tan"), 0)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            if name not in calls:
+                return getattr(np, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return getattr(np, name)(*args, **kwargs)
+
+            return counted
+
+    # built before numpy is patched: regular_polygon takes sin and cos of its own
+    rng = np.random.default_rng(0)
+    curve = make_curve(regular_polygon(16).points + 0.01 * rng.standard_normal((16, 2)))
+    for module in (curves, pv.curvature, pv.offsets):
+        monkeypatch.setattr(module, "np", CountingNumpy())
+    for scheme in ("vertex_osculating", "hatakeyama", "half_edge_sum"):
+        vertex_curvatures(curve, scheme)
+    pv.edge_curvatures(curve)
+    pv.edge_line_elements(curve)
+    for variant in ("segment", "wedge"):
+        pv.offset_length(curve, 0.1, variant)  # every theta_k < 0: no corner turns toward t > 0
+    # the second cos is the cusp test's cos(theta_k)
+    assert calls == {"sin": 1, "cos": 2, "tan": 1}
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_power_of_two_scale_keeps_every_bit(rng, closed):
     """At 2^k a curve's edges, lengths and chords are the unit curve's times 2^k, and its angles are the unit curve's.
 
-    Where they overflow they are inf, with no warning (pyproject.toml turns
-    a RuntimeWarning into a test failure).
+    Its curvatures are the unit curve's times 2^-k, its edge line elements
+    times 2^k.  Where a value overflows it is inf, with no warning
+    (pyproject.toml turns a RuntimeWarning into a test failure).
     """
     for n in (3, 8, 64):
         p = rng.uniform(-1.0, 1.0, (n, 2))
@@ -319,6 +350,14 @@ def test_power_of_two_scale_keeps_every_bit(rng, closed):
                 assert getattr(curve, name).tobytes() == expected.tobytes()
             for name in ("tangents", "edge_normals", "turning_angles"):
                 assert getattr(curve, name).tobytes() == getattr(unit, name).tobytes()
+            assert curve.edge_curvatures.tobytes() == np.ldexp(unit.edge_curvatures, -k).tobytes()
+            with np.errstate(over="ignore"):
+                expected = np.ldexp(pv.edge_line_elements(unit), k)
+            assert pv.edge_line_elements(curve).tobytes() == expected.tobytes()
+            for scheme in ("vertex_osculating", "hatakeyama", "half_edge_sum"):
+                for curvature in (pv.vertex_curvatures, pv.curvature_vectors):
+                    expected = np.ldexp(curvature(unit, scheme), -k)
+                    assert curvature(curve, scheme).tobytes() == expected.tobytes()
         assert np.isinf(curve.edge_vectors[0]).all() and curve.edge_lengths[0] == np.inf
 
 

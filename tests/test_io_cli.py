@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import warnings
@@ -326,7 +327,7 @@ def test_cli_square_at_float_range_ends(side, tmp_path, capsys):
 
 
 def test_cli_triangle_with_edges_beyond_float_range(tmp_path, capsys):
-    # its edges overflow, but not its angles or kappa; its length, area and l0 are beyond the float range
+    # its edges overflow, but not its angles or curvatures; its length, area and l0 are beyond the float range
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"version": 1, "closed": True, "sigma": -1,
                                 "points": [[-1.7e308, 0], [1.7e308, 0], [0, 1e308]]}))
@@ -336,6 +337,23 @@ def test_cli_triangle_with_edges_beyond_float_range(tmp_path, capsys):
     assert doc["total_length"] is doc["enclosed_volume"] is doc["equilibrium"]["l0"] is None
     err = capsys.readouterr().err
     assert err.startswith("equilibrium: no") and err.count("\n") == 1
+    # the curvatures, about -1e-308, are taken at the curve's power of two; its
+    # lengths at that scale are not uniform, so the arclength scheme is inapplicable
+    with open(tmp_path / "a.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["kappa_arclength"] == ""
+        for name in ("kappa_vertex_osculating", "kappa_hatakeyama", "kappa_half_edge_sum", "kappa_edge"):
+            assert -np.inf < float(row[name]) < 0.0
+    # the flow converges, but the picture's box is inf by inf: no SVG number can draw it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning that reaches the CLI fails the call
+        assert run_cli("flow", "--in", str(path), "--out", str(tmp_path / "f")) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("polyvar: error:") and err.count("polyvar: error:") == 1
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "f.svg").exists()
 
 
 def test_cli_square_below_float_range_fails_cleanly(tmp_path, capsys):
