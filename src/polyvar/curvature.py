@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_cusp_free_edges, _at_edges, _at_vertices, _norms, _unscaled, _value_at
+from .curves import DiscreteCurve, _at_cusp_free_edges, _at_edges, _at_vertices, _by_rows, _norms, _unscaled, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
 from .variation import length_gradients
 
@@ -88,7 +88,7 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
     Equals minus the length gradient over L_k; independent of sigma.
     """
     values, e = _line_elements(curve, scheme)
-    return _unscaled(-length_gradients(curve) / values[:, None], -e)
+    return _unscaled(_by_rows(np.divide, -length_gradients(curve), values), -e)
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:
@@ -131,9 +131,14 @@ def edge_curvature(curve: DiscreteCurve, k: int) -> float:
 
 
 def discrete_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
-    """Edge-based gradient (psi_{k+1} - psi_k) / l_k."""
+    """Edge-based gradient (psi_{k+1} - psi_k) / l_k, taken at the curve's power of two."""
+    return _unscaled(_scaled_gradient(curve, psi), -curve._scale[1])
+
+
+def _scaled_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
+    """(psi_{k+1} - psi_k) / (l_k 2^-e), the gradient times 2^e."""
     psi, psi_next = _at_edges(curve.closed, np.asarray(psi, dtype=float))
-    return (psi_next - psi) / curve.edge_lengths
+    return (psi_next - psi) / curve._scaled[2]
 
 
 def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
@@ -146,6 +151,6 @@ def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
 
 
 def dirichlet_energy(curve: DiscreteCurve, psi) -> float:
-    """(1/2) sum |grad psi_k|^2 l_k over the edges."""
-    g = discrete_gradient(curve, psi)
-    return 0.5 * float(np.sum(g * g * curve.edge_lengths))
+    """(1/2) sum |grad psi_k|^2 l_k over the edges, taken at the curve's power of two e and scaled back by 2^-e."""
+    g = _scaled_gradient(curve, psi)
+    return float(_unscaled(0.5 * np.sum(g * g * curve._scaled[2]), -curve._scale[1]))

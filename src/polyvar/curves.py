@@ -17,6 +17,7 @@ read-only attribute (m = edge_count; * taken at the curve's power of two):
   edge_normals    (m, 2)  nu_k = R t_k
   turning_angles  (n,)    theta_k in (-pi, pi], NaN at open-curve ends
   cusp_mask       (n,)    True where 1 + cos(theta_k) <= CUSP_TOL
+  _snapped_angles 3x(n,)  theta_k, cusp_mask and 1 + cos(theta_k), the one place cos is taken
   chords*         (n, 2)  p_{k+1} - p_{k-1}, NaN at open-curve ends
   vertex_normals  (n, 2)  N_k = (nu_k + nu_{k-1}) / (1 + cos theta_k),
                           NaN at cusps and open-curve ends
@@ -30,6 +31,12 @@ these arrays, and each is computed by one array helper (_at_scale,
 _edge_vectors, _norms, _tangents, _chords, _turning_angles, _signed_area),
 which the flow also calls on its points.  The one cusp rule is
 _require_no_cusp (CuspVertex), the one closed-curve rule _require_closed.
+
+Every (n, 2) kernel runs along the long axis: no broadcast across the short
+axis.  An (n,) array scales or divides the rows of an (n, 2) one through
+_by_rows, one column at a time into one output, and the edges and chords of
+a closed curve are slices subtracted into one output.  The bits are those
+of the broadcast, at a fraction of its cost.
 
 A curve's own power of two is e with 2^e > diameter >= 2^(e-1) (_scale_of).
 The curve keeps x = points 2^-e and its edges, lengths and chords, which keeps
@@ -73,8 +80,22 @@ def rot90(vectors, sigma):
     """Rotate 2-vectors by sigma * pi/2 (the map R of the normal convention)."""
     v = np.asarray(vectors, dtype=float)
     out = np.empty_like(v)
-    out[..., 0] = -sigma * v[..., 1]
-    out[..., 1] = sigma * v[..., 0]
+    np.multiply(v[..., 1], -sigma, out=out[..., 0])
+    np.multiply(v[..., 0], sigma, out=out[..., 1])
+    return out
+
+
+def _by_rows(op, vectors: np.ndarray, values, out=None, **kwargs) -> np.ndarray:
+    """The ufunc op(v_k, values_k) for every row v_k of an (m, 2) array, one column at a time into out.
+
+    Broadcasting values across the short axis instead makes numpy loop
+    over the two columns for every row; this gives the same bits at a
+    fraction of the cost.  kwargs go to op (where=).
+    """
+    if out is None:
+        out = np.empty_like(vectors, dtype=float)
+    op(vectors[:, 0], values, out=out[:, 0], **kwargs)
+    op(vectors[:, 1], values, out=out[:, 1], **kwargs)
     return out
 
 
@@ -106,7 +127,7 @@ class DiscreteCurve:
         return f"DiscreteCurve(n={self.n}, {kind}, sigma={self.sigma:+d})"
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array of vertices")
         if not np.isfinite(pts).all():
@@ -182,10 +203,9 @@ class DiscreteCurve:
 
     @cached_property
     def _snapped_angles(self):
-        """(theta, cusp mask), theta already snapped to pi at cusps."""
+        """(theta, cusp mask, 1 + cos theta), theta already snapped to pi at cusps."""
         with np.errstate(invalid="ignore"):  # NaN where an open curve ends
-            theta, cusp = _turning_angles(self.tangents, self.sigma, self.closed)
-        return _frozen(theta), _frozen(cusp)
+            return tuple(map(_frozen, _turning_angles(self.tangents, self.sigma, self.closed)))
 
     @property
     def cusp_mask(self) -> np.ndarray:
@@ -193,17 +213,19 @@ class DiscreteCurve:
 
     @cached_property
     def turning_angles(self) -> np.ndarray:
-        theta, cusp = self._snapped_angles
+        theta, cusp, _ = self._snapped_angles
         if cusp.any():
             warnings.warn(CuspWarning(f"cusp at vertices {np.flatnonzero(cusp).tolist()}"))
         return theta
 
     @cached_property
     def vertex_normals(self) -> np.ndarray:
+        self.turning_angles  # warns where there is a cusp, as every reader of the angles does
         nu_prev, nu = _at_vertices(self.closed, self.edge_normals)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = (nu + nu_prev) / (1.0 + np.cos(self.turning_angles))[:, None]
-        out[~np.isfinite(out)] = np.nan
+        out = nu + nu_prev
+        with np.errstate(invalid="ignore", divide="ignore"):  # NaN at the ends of an open curve
+            _by_rows(np.divide, out, self._snapped_angles[2], out=out)
+        out[self.cusp_mask] = np.nan
         return _frozen(out)
 
     @cached_property
@@ -268,8 +290,12 @@ def _unscaled(values, e: int):
 
 
 def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
-    starts, ends = _at_edges(closed, points)
-    return ends - starts
+    if not closed:
+        return points[1:] - points[:-1]
+    out = np.empty_like(points)
+    np.subtract(points[1:], points[:-1], out=out[:-1])
+    np.subtract(points[0], points[-1], out=out[-1])
+    return out
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -278,25 +304,28 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def _tangents(edges: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    return edges / lengths[:, None]
+    return _by_rows(np.divide, edges, lengths)
 
 
 def _chords(points: np.ndarray, closed: bool) -> np.ndarray:
-    # p_{k+1} ends edge k and p_{k-1} starts edge k-1
-    starts, ends = _at_edges(closed, points)
-    if not closed:
-        ends = _at_vertices(closed, ends)[1]
-    return ends - _at_vertices(closed, starts)[0]
+    """p_{k+1} - p_{k-1} at every vertex k; a NaN row where an open curve ends."""
+    out = np.empty_like(points) if closed else np.full_like(points, np.nan)
+    np.subtract(points[2:], points[:-2], out=out[1:-1])
+    if closed:
+        np.subtract(points[1], points[-1], out=out[0])
+        np.subtract(points[0], points[-2], out=out[-1])
+    return out
 
 
 def _turning_angles(tangents: np.ndarray, sigma: int, closed: bool):
-    """(theta, cusp mask) from the unit edge directions, theta snapped to pi at cusps."""
+    """(theta, cusp mask, 1 + cos theta) from the unit edge directions, theta snapped to pi at cusps."""
     prev, cur = _at_vertices(closed, tangents)
     cross = prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]
     theta = sigma * np.arctan2(cross, _dot(prev, cur))
-    cusp = 1.0 + np.cos(theta) <= CUSP_TOL
+    one_plus_cos = 1.0 + np.cos(theta)
+    cusp = one_plus_cos <= CUSP_TOL
     theta[cusp] = np.pi
-    return theta, cusp
+    return theta, cusp, one_plus_cos
 
 
 def _at_cusp_free_edges(curve: DiscreteCurve, per_vertex: np.ndarray):
@@ -424,7 +453,7 @@ def _signed_area(points: np.ndarray, sigma: int) -> float:
     (1/2) sum <p_k, R e_k> = -(sigma/2) sum (x_k e_k,y - y_k e_k,x), with the
     edges e_k = p_{k+1} - p_k computed here, so that a curve caches no array.
     """
-    edges = np.concatenate([points[1:], points[:1]]) - points
+    edges = _edge_vectors(points, True)
     xe, ye = points[:, 0] * edges[:, 1], points[:, 1] * edges[:, 0]
     # the difference taken in sigma's order is <p_k, R e_k> to the bit, zeros' signs included
     cross = xe - ye if sigma < 0 else ye - xe
@@ -434,7 +463,7 @@ def _signed_area(points: np.ndarray, sigma: int) -> float:
 def turning_number(curve: DiscreteCurve) -> int:
     """Integer m with sum(theta_k) = 2*pi*m; CuspVertex (a CuspPresent) at the first cusp."""
     _require_closed(curve, "the turning number")
-    return _turning_number(*curve._snapped_angles)
+    return _turning_number(*curve._snapped_angles[:2])
 
 
 def _turning_number(theta: np.ndarray, cusp: np.ndarray) -> int:

@@ -70,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import DiscreteCurve, _area, _at_scale, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area
-from .curves import _require_closed, _tangents, _turning_angles, _turning_number, _unscaled, rot90
+from .curves import _by_rows, _require_closed, _tangents, _turning_angles, _turning_number, _unscaled, rot90
 from .errors import CuspPresent, NonIntegerTurning
 from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
 from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
@@ -157,8 +157,8 @@ def _along_chords(g: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     With u the area gradient, c_k is the direction of the chord p_{k+1} - p_{k-1}.
     """
     norm = _norms(u)
-    c = np.divide(rot90(u, 1), norm[:, None], out=np.zeros_like(u), where=norm[:, None] > 0)
-    return g + ((alpha - 1.0) * _dot(g, c))[:, None] * c
+    c = _by_rows(np.divide, rot90(u, 1), norm, out=np.zeros_like(u), where=norm > 0)
+    return g + _by_rows(np.multiply, c, (alpha - 1.0) * _dot(g, c))
 
 
 @lru_cache(maxsize=256)
@@ -266,7 +266,7 @@ def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
     if gradnorm < tolerance:
         return c, gradnorm, None, 0, None
     n, length = len(x), float(lengths.sum())
-    blocks = _along_blocks(g, u, lengths, *_turning_angles(tangents, sigma, True), sigma)
+    blocks = _along_blocks(g, u, lengths, *_turning_angles(tangents, sigma, True)[:2], sigma)
     d, near = blocks or (_along_chords(g, u, 1.0 / math.tan(math.pi / n) ** 2), False)
     slope = float((g * d).sum())
     roundoff = 1e-14 * length

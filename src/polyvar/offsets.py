@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _at_vertices, _require_closed, _require_no_cusp, _value_at, total_length
+from .curves import DiscreteCurve, _at_edges, _at_scale, _at_vertices, _by_rows, _require_closed, _require_no_cusp
+from .curves import _scale_of, _unscaled, _value_at, total_length
 from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
@@ -57,7 +58,9 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     """
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
     l_prev, l = _at_vertices(curve.closed, curve.edge_lengths)
-    return (l[:, None] * nu + l_prev[:, None] * nu_prev) / (l + l_prev)[:, None]
+    out = _by_rows(np.multiply, nu, l)
+    out += _by_rows(np.multiply, nu_prev, l_prev)
+    return _by_rows(np.divide, out, l + l_prev, out=out)
 
 
 def weighted_vertex_normal(curve: DiscreteCurve, k: int) -> np.ndarray:
@@ -117,11 +120,18 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
 
     The identity is algebraically exact, so max_abs_error is pure round-off.
     Requires 1 - t * kappa(e_k) > 0 on every edge (no sign flip under the
-    absolute value).
+    absolute value).  The actual lengths are those of the offset points
+    p_k + t N_k, taken at their own power of two as parallel_curve's curve
+    would take them (ValueError where a point is not finite, ZeroEdge where
+    an edge vanishes), but no curve is built.
     """
     factors = _offset_factors(curve, t, "the Steiner report")
     predicted = curve.edge_lengths * factors
-    actual = curve.with_points(curve.points + t * vertex_normals(curve)).edge_lengths
+    offset = curve.points + t * vertex_normals(curve)
+    if not np.isfinite(offset).all():
+        raise ValueError("vertex coordinates must be finite")
+    e = _scale_of(offset)[1]
+    actual = _unscaled(_at_scale(offset, curve.closed, e)[2], e)
     return SteinerReport(
         t=float(t),
         predicted_lengths=predicted,
@@ -186,9 +196,16 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
 
 
 def frenet_edge_residuals(curve: DiscreteCurve) -> np.ndarray:
-    """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero."""
+    """(N_{k+1} - N_k)/l_k + kappa(e_k) t_k per edge; identically zero.
+
+    The difference quotient is taken at the curve's power of two, so it
+    stays finite where l_k overflows.
+    """
     N, N_next = _at_edges(curve.closed, vertex_normals(curve))
-    return (N_next - N) / curve.edge_lengths[:, None] + curve.edge_curvatures[:, None] * curve.tangents
+    quotient = _by_rows(np.divide, N_next - N, curve._scaled[2])
+    out = _unscaled(quotient, -curve._scale[1])
+    out += _by_rows(np.multiply, curve.tangents, curve.edge_curvatures)
+    return out
 
 
 def frenet_edge_residual(curve: DiscreteCurve, k: int) -> np.ndarray:

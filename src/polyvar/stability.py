@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
+from .curves import DiscreteCurve, _at_edges, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
 from .errors import MeanNotZero, NotEquilibrium
 from .variation import _check_field, classify_equilibrium
 
@@ -40,7 +40,7 @@ def ql_form(curve: DiscreteCurve, field) -> float:
     _require_closed(curve, "the length form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
     l = curve.edge_lengths
-    grad = (v_next - v) / l[:, None]
+    grad = _by_rows(np.divide, v_next - v, l)
     proj = _dot(grad, curve.tangents)
     return float(np.sum((_dot(grad, grad) - proj * proj) * l))
 
@@ -85,9 +85,9 @@ def decompose_field(curve: DiscreteCurve, field) -> NormalTangentField:
 def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
     """v_k = psi_k N_k + eta_k T_k."""
     N, T = _vertex_frame(curve)
-    v = np.asarray(psi, dtype=float)[:, None] * N
+    v = _by_rows(np.multiply, N, np.asarray(psi, dtype=float))
     if eta is not None:
-        v = v + np.asarray(eta, dtype=float)[:, None] * T
+        v += _by_rows(np.multiply, T, np.asarray(eta, dtype=float))
     return v
 
 
@@ -247,11 +247,11 @@ def fourier_decompose(curve: DiscreteCurve) -> np.ndarray:
     Index j = 0 is the centroid (constant) mode; the regular polygon of
     winding m and radius a placed with phase 0 about the origin has the single
     coefficient c_m = a.  Every polygon is the coefficient-weighted sum of the
-    regular polygons exp(2 pi i j k / n).
+    regular polygons exp(2 pi i j k / n).  The points are read in place as
+    the complex numbers z_k = x_k + i y_k, so a -0.0 coordinate keeps its sign.
     """
     _require_closed(curve, "the Fourier decomposition")
-    z = curve.points[:, 0] + 1j * curve.points[:, 1]
-    return np.fft.fft(z) / curve.n
+    return np.fft.fft(curve.points.view(complex)[:, 0], norm="forward")
 
 
 def fourier_reconstruct(coeffs) -> np.ndarray:

@@ -254,8 +254,8 @@ def test_non_integer_turning_is_internal_guard(monkeypatch, sq):
     original = curves_mod._turning_angles
 
     def corrupted(*args):
-        theta, cusp = original(*args)
-        return theta + 1e-3, cusp
+        theta, cusp, one_plus_cos = original(*args)
+        return theta + 1e-3, cusp, one_plus_cos
 
     monkeypatch.setattr(curves_mod, "_turning_angles", corrupted)
     with pytest.raises(NonIntegerTurning):

@@ -391,7 +391,7 @@ def test_chord_preconditioning_skips_a_zero_area_gradient():
 
 def _blocks(curve, g, u):
     """_along_blocks on the curve's own edge lengths, turning angles and cusp mask."""
-    return _along_blocks(g, u, curve.edge_lengths, *curve._snapped_angles, curve.sigma)
+    return _along_blocks(g, u, curve.edge_lengths, *curve._snapped_angles[:2], curve.sigma)
 
 
 def _preconditioned_blocks(n, alpha):
