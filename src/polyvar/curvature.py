@@ -144,10 +144,13 @@ def _scaled_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
 def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
     """Vertex-based Laplacian (grad psi_k - grad psi_{k-1}) / L_k.
 
-    NaN at the boundary vertices of an open curve.
+    NaN at the boundary vertices of an open curve.  The gradient and a named
+    line element are taken at the curve's power of two e (see
+    _line_elements), and the quotient scaled back.
     """
-    g_prev, g = _at_vertices(curve.closed, discrete_gradient(curve, psi))
-    return (g - g_prev) / line_elements(curve, scheme)
+    g_prev, g = _at_vertices(curve.closed, _scaled_gradient(curve, psi))
+    values, e = _line_elements(curve, scheme)
+    return _unscaled((g - g_prev) / values, -curve._scale[1] - e)
 
 
 def dirichlet_energy(curve: DiscreteCurve, psi) -> float:

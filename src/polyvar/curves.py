@@ -40,9 +40,14 @@ of the broadcast, at a fraction of its cost.
 
 A curve's own power of two is e with 2^e > diameter >= 2^(e-1) (_scale_of).
 The curve keeps x = points 2^-e and its edges, lengths and chords, which keeps
-every bit (ZeroEdge where an edge vanishes there); tangents come from these,
-and diameter(), total_length and the * arrays are these times 2^e (_unscaled,
-inf on overflow).  Curvatures, area, flow, multiplier, classifier work there.
+every bit (ZeroEdge where an edge vanishes there); tangents come from these.
+One rule for every reader: it computes on these scaled arrays (_scaled,
+_scaled_chords, _scale) and converts its result back once through _unscaled
+(times 2^e per unit of length, inf on overflow).  diameter(), total_length
+and the * arrays are such results; only readers that return values in the
+caller's units, such as volume_gradients and parallel_curve, read them.
+Only this module and flow call ldexp, and variation._kappa, whose
+OverflowError is how it detects a vanishing area gradient.
 
 Neighbours: vertex k lies between edges k-1 and k, edge k runs from vertex k
 to vertex k+1, and indices wrap around on a closed curve.  A value built from

@@ -57,7 +57,7 @@ def weighted_vertex_normals(curve: DiscreteCurve) -> np.ndarray:
     when the adjacent edges have equal length.
     """
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    l_prev, l = _at_vertices(curve.closed, curve.edge_lengths)
+    l_prev, l = _at_vertices(curve.closed, curve._scaled[2])
     out = _by_rows(np.multiply, nu, l)
     out += _by_rows(np.multiply, nu_prev, l_prev)
     return _by_rows(np.divide, out, l + l_prev, out=out)
@@ -120,13 +120,14 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
 
     The identity is algebraically exact, so max_abs_error is pure round-off.
     Requires 1 - t * kappa(e_k) > 0 on every edge (no sign flip under the
-    absolute value).  The actual lengths are those of the offset points
-    p_k + t N_k, taken at their own power of two as parallel_curve's curve
-    would take them (ValueError where a point is not finite, ZeroEdge where
-    an edge vanishes), but no curve is built.
+    absolute value).  The predicted lengths are taken on the lengths at the
+    curve's power of two and scaled back.  The actual lengths are those of
+    the offset points p_k + t N_k, taken at their own power of two as
+    parallel_curve's curve would take them (ValueError where a point is not
+    finite, ZeroEdge where an edge vanishes), but no curve is built.
     """
     factors = _offset_factors(curve, t, "the Steiner report")
-    predicted = curve.edge_lengths * factors
+    predicted = _unscaled(curve._scaled[2] * factors, curve._scale[1])
     offset = curve.points + t * vertex_normals(curve)
     if not np.isfinite(offset).all():
         raise ValueError("vertex coordinates must be finite")
@@ -155,18 +156,17 @@ def offset_length(curve: DiscreteCurve, t: float, variant: str) -> float:
     row corner_overlap).
     """
     _check_offset(curve, t, "the offset length")
-    if variant == "wedge":
-        _require_no_cusp(curve.cusp_mask)  # before the turning angles warn about the cusp
-    elif variant == "segment":
-        _require_corners_away(curve, t, variant)
-    length = total_length(curve)
     if variant == "segment":
-        return length - t * float(np.sum(2.0 * curve._half_angles[0]))
-    if variant == "arc":
-        return length - t * float(curve.turning_angles.sum())
-    if variant == "wedge":
-        return length - t * float(np.sum(2.0 * curve._half_angles[2]))
-    raise ValueError(f"unknown offset variant {variant!r}")
+        _require_corners_away(curve, t, variant)
+        corners = 2.0 * curve._half_angles[0]
+    elif variant == "arc":
+        corners = curve.turning_angles
+    elif variant == "wedge":
+        _require_no_cusp(curve.cusp_mask)  # before the turning angles warn about the cusp
+        corners = 2.0 * curve._half_angles[2]
+    else:
+        raise ValueError(f"unknown offset variant {variant!r}")
+    return total_length(curve) - t * float(np.sum(corners))
 
 
 def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurve:
@@ -180,16 +180,18 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
         return parallel_curve(curve, t)
     if variant == "segment":
         _check_offset(curve, t, "the segment offset")
+        # at the curve's power of two e: its points x = p 2^-e, moved by t 2^-e
+        diameter, e = curve._scale
         nu = curve.edge_normals
-        pts, nxt = _at_edges(curve.closed, curve.points)
+        scaled_t = _unscaled(t, -e)
+        pts, nxt = _at_edges(curve.closed, curve._scaled[0])
         doubled = np.empty((2 * curve.n, 2))
-        doubled[0::2] = pts + t * nu
-        doubled[1::2] = nxt + t * nu
+        doubled[0::2] = pts + scaled_t * nu
+        doubled[1::2] = nxt + scaled_t * nu
         # straight vertices (theta = 0) duplicate their corner point; drop them
-        dedupe_tol = 1e-14 * curve.diameter()
         gaps = np.hypot(*(doubled - np.roll(doubled, 1, axis=0)).T)
-        keep = gaps > dedupe_tol
-        return DiscreteCurve(doubled[keep], closed=True, sigma=curve.sigma)
+        keep = gaps > 1e-14 * diameter
+        return DiscreteCurve(_unscaled(doubled[keep], e), closed=True, sigma=curve.sigma)
     if variant == "arc":
         raise ValueError("arc offsets are not polygonal; use offset_length")
     raise ValueError(f"unknown offset variant {variant!r}")

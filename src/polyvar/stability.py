@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import DiscreteCurve, _at_edges, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
+from .curves import _unscaled
 from .errors import MeanNotZero, NotEquilibrium
 from .variation import _check_field, classify_equilibrium
 
@@ -35,14 +36,16 @@ def qv_form(curve: DiscreteCurve, field) -> float:
 def ql_form(curve: DiscreteCurve, field) -> float:
     """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
 
-    R nu_k = -t_k, so the projection is taken on the unit tangent.
+    R nu_k = -t_k, so the projection is taken on the unit tangent.  The sum
+    is taken on the lengths 2^-e at the curve's power of two e, where it is
+    the form times 2^e, and scaled back by 2^-e.
     """
     _require_closed(curve, "the length form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
-    l = curve.edge_lengths
+    l = curve._scaled[2]
     grad = _by_rows(np.divide, v_next - v, l)
     proj = _dot(grad, curve.tangents)
-    return float(np.sum((_dot(grad, grad) - proj * proj) * l))
+    return float(_unscaled(np.sum((_dot(grad, grad) - proj * proj) * l), -curve._scale[1]))
 
 
 def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-8) -> float:
@@ -249,9 +252,12 @@ def fourier_decompose(curve: DiscreteCurve) -> np.ndarray:
     coefficient c_m = a.  Every polygon is the coefficient-weighted sum of the
     regular polygons exp(2 pi i j k / n).  The points are read in place as
     the complex numbers z_k = x_k + i y_k, so a -0.0 coordinate keeps its sign.
+    The transform is taken on the points 2^-e at the curve's power of two e
+    and scaled back by 2^e.
     """
     _require_closed(curve, "the Fourier decomposition")
-    return np.fft.fft(curve.points.view(complex)[:, 0], norm="forward")
+    coeffs = np.fft.fft(curve._scaled[0].view(complex)[:, 0], norm="forward")
+    return _unscaled(coeffs.view(float), curve._scale[1]).view(complex)
 
 
 def fourier_reconstruct(coeffs) -> np.ndarray:

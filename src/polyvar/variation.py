@@ -67,20 +67,24 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
     """Directional derivative of the chosen functional along the field.
 
     functional is "length", "volume", or "length_plus_kappa_vol" (with kappa).
+    The volume term is taken on the area gradient 2^-e from the curve's chords
+    at its power of two e, and scaled back by 2^e.
     """
     v = _check_field(curve, field)
     if functional == "length":
         grad = length_gradients(curve)
-    elif functional == "volume":
-        grad = volume_gradients(curve)
-    elif functional == "length_plus_kappa_vol":
-        grad = length_gradients(curve) + kappa * volume_gradients(curve)
-    else:
+        if not curve.closed:
+            grad = grad[1:-1]
+            v = v[1:-1]
+        return float(np.sum(grad * v))
+    if functional not in ("volume", "length_plus_kappa_vol"):
         raise ValueError(f"unknown functional {functional!r}")
-    if not curve.closed:
-        grad = grad[1:-1]
-        v = v[1:-1]
-    return float(np.sum(grad * v))
+    _require_closed(curve, "the volume gradient")
+    e = curve._scale[1]
+    u = _volume_gradients(curve._scaled_chords, curve.sigma)  # gradVol 2^-e
+    if functional == "volume":
+        return float(_unscaled(np.sum(u * v), e))
+    return float(np.sum((length_gradients(curve) + _unscaled(kappa * u, e)) * v))
 
 
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
@@ -131,17 +135,21 @@ def _kappa(c: float, e: int) -> float:
 
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
-    """Euler-Lagrange residual A_k per vertex, from kappa 2^e and the curve's chords 2^-e at its power of two e."""
+    """Euler-Lagrange residual A_k per vertex, (kappa/2) times the curve's chords 2^-e at its power of two e, scaled back by 2^e."""
     _require_closed(curve, "the equilibrium residual")
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    return (nu - nu_prev) + 0.5 * float(np.ldexp(kappa, curve._scale[1])) * curve._scaled_chords
+    return (nu - nu_prev) + _unscaled(0.5 * kappa * curve._scaled_chords, curve._scale[1])
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
-    """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria."""
+    """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria.
+
+    (kappa/2)(x_{k+1} + x_k) is taken on the points x = p 2^-e at the
+    curve's power of two e and scaled back by 2^e.
+    """
     _require_closed(curve, "the conservation vector")
-    p, p_next = _at_edges(curve.closed, curve.points)
-    return curve.edge_normals + 0.5 * kappa * (p_next + p)
+    x, x_next = _at_edges(curve.closed, curve._scaled[0])
+    return curve.edge_normals + _unscaled(0.5 * kappa * (x_next + x), curve._scale[1])
 
 
 def _regular_hessian_blocks(n: int, m: int):
@@ -211,20 +219,22 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     """Decide criticality of L + kappa*Vol and extract the regular-polygon data.
 
     The residual is compared against tol * max(1, |kappa| * diameter), and
-    one that is not finite never passes; kappa 2^e and the curve's lengths 2^-e
-    are taken at its power of two e, and l0 is inf where it overflows.  A positive
-    verdict asserts (not assumes) the regular-polygon structure: uniform edge
-    lengths and turning angles, and kappa * l0 = 2 tan(theta0/2).
+    it passes only where both are finite.  kappa times the curve's chords and
+    lengths 2^-e at its power of two e is scaled back by 2^e, and l0 is inf
+    where it overflows.  A positive verdict asserts (not assumes) the
+    regular-polygon structure: uniform edge lengths and turning angles, and
+    kappa * l0 = 2 tan(theta0/2).  ValueError where kappa or tol is not finite.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance {tol} must be finite and positive")
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa = {kappa} must be finite")
     if kappa == 0.0:
         raise KappaZero("classification requires kappa != 0")
     max_residual = float(_norms(equilibrium_residual(curve, kappa)).max())
     diameter, e = curve._scale
-    scaled_kappa = float(np.ldexp(kappa, e))
-    scale = max(1.0, abs(scaled_kappa) * diameter)
-    is_equilibrium = max_residual <= tol * scale and math.isfinite(max_residual)
+    scale = max(1.0, float(_unscaled(abs(kappa) * diameter, e)))
+    is_equilibrium = max_residual <= tol * scale < math.inf
 
     l = curve._scaled[2]
     theta = curve.turning_angles
@@ -244,7 +254,8 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
         if np.abs(l - l0).max() > 0.5 * slack * l0 or np.abs(theta - theta0).max() > slack:
             raise InternalInconsistency("residual passed but the curve is not a regular polygon")
-        if abs(scaled_kappa * l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(scaled_kappa) * l0):
+        kappa_l0 = float(_unscaled(kappa * l0, e))
+        if abs(kappa_l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(kappa_l0)):
             raise InternalInconsistency("kappa * l0 = 2 tan(theta0/2) violated")
     return EquilibriumReport(
         is_equilibrium=is_equilibrium,

@@ -335,13 +335,25 @@ def test_power_of_two_scale_keeps_every_bit(rng, closed):
     """At 2^k a curve's edges, lengths and chords are the unit curve's times 2^k, and its angles are the unit curve's.
 
     Its curvatures are the unit curve's times 2^-k, its edge line elements
-    times 2^k.  Where a value overflows it is inf, with no warning
-    (pyproject.toml turns a RuntimeWarning into a test failure).
+    times 2^k, and so on for every reader of the scaled arrays, each with the
+    factor its units give it.  Where a value overflows it is inf, with no
+    warning (pyproject.toml turns a RuntimeWarning into a test failure).
     """
+
+    def same(actual, expected, k=0):
+        """actual has the bytes of expected times 2^k, real and imaginary parts alike."""
+        expected = np.asarray(expected)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(expected.view(float), k).view(expected.dtype)
+        assert np.asarray(actual).tobytes() == scaled.tobytes()
+
     for n in (3, 8, 64):
         p = rng.uniform(-1.0, 1.0, (n, 2))
-        p[:2] = [[-1.0, -1.0], [1.0, 1.0]]  # edge 0 is (2, 2): beyond the float range at 2^1023
+        # edge 0 is (2, 2) and p_1 + p_2 is (2, 0): beyond the float range at 2^1023
+        p[:3] = [[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]
         unit = make_curve(p, closed=closed)
+        field = np.random.default_rng(n).standard_normal((n, 2))  # a fixed variation field
+        kappa, t = -1.5, 2.0**-30
         for k in [*range(-990, 1001, 10), 1023]:
             curve = make_curve(np.ldexp(p, k), closed=closed)
             for name in ("edge_vectors", "edge_lengths", "chords"):
@@ -358,6 +370,26 @@ def test_power_of_two_scale_keeps_every_bit(rng, closed):
                 for curvature in (pv.vertex_curvatures, pv.curvature_vectors):
                     expected = np.ldexp(curvature(unit, scheme), -k)
                     assert curvature(curve, scheme).tobytes() == expected.tobytes()
+            same(pv.weighted_vertex_normals(curve), pv.weighted_vertex_normals(unit))
+            psi = field[:, 0]
+            laplacian = pv.discrete_laplacian(curve, "half_edge_sum", psi)
+            same(laplacian, pv.discrete_laplacian(unit, "half_edge_sum", psi), -2 * k)
+            if not closed:
+                continue
+            same(pv.ql_form(curve, field), pv.ql_form(unit, field), -k)
+            same(pv.fourier_decompose(curve), pv.fourier_decompose(unit), k)
+            segment = pv.offset_polygon(curve, np.ldexp(t, k), "segment")
+            same(segment.points, pv.offset_polygon(unit, t, "segment").points, k)
+            same(pv.first_variation(curve, field, "volume"), pv.first_variation(unit, field, "volume"), k)
+            scaled_kappa = np.ldexp(kappa, -k)
+            for reader in (pv.conservation_vectors, pv.equilibrium_residual):
+                if k <= 1000:
+                    same(reader(curve, scaled_kappa), reader(unit, kappa))
+                else:  # (kappa/2) 2^-k times the scaled points is below the normal range: a few ulps
+                    assert np.allclose(reader(curve, scaled_kappa), reader(unit, kappa), rtol=0.0, atol=1e-14)
+            if k <= 1000:  # at 2^1023 the curvatures in Steiner's factors are below the normal range
+                predicted = pv.steiner_report(curve, np.ldexp(t, k)).predicted_lengths
+                same(predicted, pv.steiner_report(unit, t).predicted_lengths, k)
         assert np.isinf(curve.edge_vectors[0]).all() and curve.edge_lengths[0] == np.inf
 
 

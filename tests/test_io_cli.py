@@ -241,10 +241,11 @@ def test_cli_exit_code_of_each_error_class(name, code, monkeypatch, capsys):
     (("flow", "--tol", "nan"), "grad_tolerance"),
     (("analyze", "--tol", "-1"), "tolerance"),
     (("analyze", "--tol", "inf", "--kappa", "5"), "tolerance"),
+    (("analyze", "--kappa", "nan"), "kappa"),
     (("offset", "--t", "nan"), "distance t"),
     (("stability", "--n", "5", "--m", "2", "--a", "-1"), "radius a"),
     (("stability", "--n", "5", "--m", "2", "--a", "0"), "radius a"),
-], ids=["flow-max-steps", "flow-tol", "analyze-tol-negative", "analyze-tol-inf", "offset-t",
+], ids=["flow-max-steps", "flow-tol", "analyze-tol-negative", "analyze-tol-inf", "analyze-kappa-nan", "offset-t",
         "stability-a-negative", "stability-a-zero"])
 def test_cli_rejects_number_out_of_domain(command, name, tmp_path, capsys):
     path = tmp_path / "sq.json"

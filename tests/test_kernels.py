@@ -280,3 +280,27 @@ def test_the_source_scan_sees_the_idiom():
     for line in ("edges / lengths[:, None]", "x[..., None] * y", "a[:,None]", "v[:, np.newaxis]"):
         assert SHORT_AXIS_BROADCAST.search(line), line
     assert not SHORT_AXIS_BROADCAST.search("[None] * (curve.n - curve.edge_count)")
+
+
+LDEXP = re.compile(r"\bldexp\b")
+# variation._kappa: math.ldexp's OverflowError is how a vanishing area gradient is detected
+LDEXP_ALLOWED = {("variation.py", "return -math.ldexp(c, -e)")}
+
+
+def test_only_curves_and_flow_scale_by_a_power_of_two():
+    """Every other module computes on a curve's scaled arrays and scales back through curves._unscaled."""
+    package = Path(polyvar.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("curves.py", "flow.py")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if LDEXP.search(line) and (path.name, line.strip()) not in LDEXP_ALLOWED
+    ]
+    assert found == []
+
+
+def test_the_ldexp_scan_sees_every_spelling():
+    for line in ("np.ldexp(kappa, e)", "math.ldexp(c, -e)", "from numpy import ldexp", "scale = np.ldexp"):
+        assert LDEXP.search(line), line
+    assert not LDEXP.search("math.frexp(diameter)") and not LDEXP.search("_unscaled(values, e)")

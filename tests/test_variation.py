@@ -312,6 +312,25 @@ def test_classify_equilibrium_rejects_tolerance(sq, tol):
         second_variation(sq, -SQRT2, np.zeros((4, 2)), tol=tol)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_classify_equilibrium_rejects_kappa_not_finite(sq, kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        classify_equilibrium(sq, kappa)
+    with pytest.raises(ValueError, match="kappa"):
+        second_variation(sq, kappa, np.zeros((4, 2)))
+
+
+def test_classify_equilibrium_kappa_beyond_the_float_range_at_the_curve_scale():
+    """kappa 2^e overflows, but kappa times the scaled chords and lengths is scaled back with no warning."""
+    report = classify_equilibrium(regular_polygon(5, 2), 1e308)
+    assert not report.is_equilibrium and np.isfinite(report.max_residual)
+    # every chord is 0.001 long and the residual finite, but |kappa| * diameter
+    # overflows: the tolerance is not finite, so the residual does not pass
+    zigzag = make_curve([(0, 0), (4, 0), (0, 1e-3), (4, 1e-3)])
+    report = classify_equilibrium(zigzag, 1.7e308)
+    assert not report.is_equilibrium and report.max_residual == pytest.approx(8.5e304)
+
+
 def test_equilibrium_sweep_and_perturbation():
     # both directions of the characterization at desk scale (full sweep in acceptance)
     for n, m in [(3, 1), (5, 2), (8, 3), (12, 7)]:
