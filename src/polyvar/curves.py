@@ -43,9 +43,12 @@ The curve keeps x = points 2^-e and its edges, lengths and chords, which keeps
 every bit (ZeroEdge where an edge vanishes there); tangents come from these.
 One rule for every reader: it computes on these scaled arrays (_scaled,
 _scaled_chords, _scale) and converts its result back once through _unscaled
-(times 2^e per unit of length, inf on overflow).  diameter(), total_length
-and the * arrays are such results; only readers that return values in the
-caller's units, such as volume_gradients and parallel_curve, read them.
+(times 2^e per unit of length, inf on overflow).  An operand that is not the
+curve's, kappa = k 2^g or a field's differences, is taken at its own power of
+two too, and the result scaled back by both.  diameter(), total_length and
+the * arrays are such results; only readers that return values in the
+caller's units, such as volume_gradients, parallel_curve and the points of
+the segment offset, read them.
 Only this module and flow call ldexp, and variation._kappa, whose
 OverflowError is how it detects a vanishing area gradient.
 

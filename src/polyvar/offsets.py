@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DiscreteCurve, _at_edges, _at_scale, _at_vertices, _by_rows, _require_closed, _require_no_cusp
-from .curves import _scale_of, _unscaled, _value_at, total_length
+from .curves import _norms, _scale_of, _unscaled, _value_at, total_length
 from .errors import CornerOverlap, CuspAdjacent, CuspVertex, EdgeCollapse
 
 OFFSET_VARIANTS = ("segment", "arc", "wedge")
@@ -180,18 +180,20 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
         return parallel_curve(curve, t)
     if variant == "segment":
         _check_offset(curve, t, "the segment offset")
-        # at the curve's power of two e: its points x = p 2^-e, moved by t 2^-e
-        diameter, e = curve._scale
         nu = curve.edge_normals
-        scaled_t = _unscaled(t, -e)
-        pts, nxt = _at_edges(curve.closed, curve._scaled[0])
+        pts, nxt = _at_edges(curve.closed, curve.points)
         doubled = np.empty((2 * curve.n, 2))
-        doubled[0::2] = pts + scaled_t * nu
-        doubled[1::2] = nxt + scaled_t * nu
-        # straight vertices (theta = 0) duplicate their corner point; drop them
-        gaps = np.hypot(*(doubled - np.roll(doubled, 1, axis=0)).T)
-        keep = gaps > 1e-14 * diameter
-        return DiscreteCurve(_unscaled(doubled[keep], e), closed=True, sigma=curve.sigma)
+        doubled[0::2] = pts + t * nu
+        doubled[1::2] = nxt + t * nu
+        if not np.isfinite(doubled).all():
+            raise ValueError("vertex coordinates must be finite")
+        # straight vertices (theta = 0) duplicate their corner point; drop them.  The gaps
+        # are taken at the doubled points' own power of two, 1e-14 * diameter at the curve's
+        e = _scale_of(doubled)[1]
+        x = _unscaled(doubled, -e)
+        gaps = _unscaled(_norms(x - np.roll(x, 1, axis=0)), e)
+        keep = gaps > _unscaled(1e-14 * curve._scale[0], curve._scale[1])
+        return DiscreteCurve(doubled[keep], closed=True, sigma=curve.sigma)
     if variant == "arc":
         raise ValueError("arc offsets are not polygonal; use offset_length")
     raise ValueError(f"unknown offset variant {variant!r}")

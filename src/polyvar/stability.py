@@ -12,6 +12,7 @@ modes, certified by the lowest nonconstant harmonic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,15 +38,18 @@ def ql_form(curve: DiscreteCurve, field) -> float:
     """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
 
     R nu_k = -t_k, so the projection is taken on the unit tangent.  The sum
-    is taken on the lengths 2^-e at the curve's power of two e, where it is
-    the form times 2^e, and scaled back by 2^-e.
+    is taken on the field's differences 2^-f at their own power of two f and
+    the lengths 2^-e at the curve's power of two e, where it is the form
+    times 2^(e-2f), and scaled back by 2^(2f-e).
     """
     _require_closed(curve, "the length form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
+    dv = v_next - v
+    f = math.frexp(float(np.abs(dv).max()))[1]
     l = curve._scaled[2]
-    grad = _by_rows(np.divide, v_next - v, l)
+    grad = _by_rows(np.divide, _unscaled(dv, -f), l)
     proj = _dot(grad, curve.tangents)
-    return float(_unscaled(np.sum((_dot(grad, grad) - proj * proj) * l), -curve._scale[1]))
+    return float(_unscaled(np.sum((_dot(grad, grad) - proj * proj) * l), 2 * f - curve._scale[1]))
 
 
 def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-8) -> float:

@@ -282,11 +282,13 @@ def test_offset_polygon_segment_doubles_vertices(sq):
 
 @pytest.mark.parametrize("side", [1.0, 1e-20, 1e-300])
 def test_offset_polygon_segment_at_any_scale(side):
-    # a dedupe floor of 1e-14 * max(diameter, 1) dropped every vertex of a curve below about 1e-14
+    # a dedupe floor of 1e-14 * max(diameter, 1) dropped every vertex of a curve below about 1e-14;
+    # at t = 1e310 sides each side survives only in the coordinate nu_k leaves alone
     square = make_curve(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * side)
-    off = offset_polygon(square, 0.5 * side, "segment")
-    assert off.n == 8
-    assert total_length(off) == pytest.approx(offset_length(square, 0.5 * side, "segment"), rel=1e-14)
+    for t in (0.5 * side, 1e10):
+        off = offset_polygon(square, t, "segment")
+        assert off.n == 8
+        assert total_length(off) == pytest.approx(offset_length(square, t, "segment"), rel=1e-14)
 
 
 def test_offset_polygon_segment_drops_straight_corners():
