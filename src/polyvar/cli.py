@@ -177,8 +177,6 @@ def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, default=1.0, help="circumradius (default 1)")
     p.add_argument("--phase", type=float, default=0.0, help="phase angle in radians")
     p.add_argument("--sigma", type=int, default=-1, choices=(-1, 1), help="normal sign")
-    p.add_argument("--out", help="output curve file")
-    p.add_argument("--stdout", action="store_true", help="write the curve file to stdout")
     p.set_defaults(func=cmd_generate)
 
 
@@ -187,8 +185,6 @@ def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", default="all", help="comma-separated line-element schemes or 'all'")
     p.add_argument("--kappa", type=float, default=None, help="Lagrange multiplier (default: estimate)")
     p.add_argument("--tol", type=float, default=1e-10, help="equilibrium tolerance")
-    p.add_argument("--out", help="output prefix (.csv and .json appended)")
-    p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_analyze)
 
 
@@ -198,8 +194,6 @@ def _offset_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="input", required=True, help="input curve file")
     p.add_argument("--t", required=True, help="comma-separated offset distances")
     p.add_argument("--variant", default="wedge", choices=OFFSET_VARIANTS)
-    p.add_argument("--out", help="output prefix (.csv and .svg appended)")
-    p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_offset)
 
 
@@ -207,8 +201,6 @@ def _stability_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, help="vertex count or range, e.g. 5..8")
     p.add_argument("--m", default="all", help="winding or 'all' (default)")
     p.add_argument("--a", type=float, default=1.0, help="circumradius (default 1)")
-    p.add_argument("--out", help="output CSV file")
-    p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=cmd_stability)
 
 
@@ -219,8 +211,6 @@ def _flow_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", type=float, default=FlowConfig.step_size, help="largest step size")
     p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
     p.add_argument("--tol", type=float, default=FlowConfig.grad_tolerance, help="gradient tolerance")
-    p.add_argument("--out", help="output prefix (.csv and .svg appended)")
-    p.add_argument("--stdout", action="store_true", help="write the trajectory CSV to stdout")
     p.set_defaults(func=cmd_flow)
 
 
@@ -249,6 +239,8 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if name == command:
             add_arguments(p)
+            p.add_argument("--out", help="output file, or prefix to which each output's suffix is appended")
+            p.add_argument("--stdout", action="store_true", help="write the first output to stdout")
     return parser
 
 

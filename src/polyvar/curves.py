@@ -44,8 +44,11 @@ every bit (ZeroEdge where an edge vanishes there); tangents come from these.
 One rule for every reader: it computes on these scaled arrays (_scaled,
 _scaled_chords, _scale) and converts its result back once through _unscaled
 (times 2^e per unit of length, inf on overflow).  An operand that is not the
-curve's, kappa = k 2^g or a field's differences, is taken at its own power of
-two too, and the result scaled back by both.  diameter(), total_length and
+curve's is taken at its own power of two too, and the result scaled back by
+both: kappa = k 2^g only in variation._times_kappa, and a field or its
+differences only in stability._field_scale.  With _scale_of, which takes
+an offset's points too, they are the only places that split a number into
+its mantissa and power of two.  diameter(), total_length and
 the * arrays are such results; only readers that return values in the
 caller's units, such as volume_gradients, parallel_curve and the points of
 the segment offset, read them.

@@ -101,10 +101,19 @@ def _require_corners_away(curve: DiscreteCurve, t: float, variant: str):
             raise CornerOverlap(int(toward[0]), variant)
 
 
+def _offset_points(points: np.ndarray, t: float, normals: np.ndarray) -> np.ndarray:
+    """points + t normals in the caller's units; ValueError, and no overflow warning, where a coordinate is not finite."""
+    with np.errstate(over="ignore"):
+        moved = points + t * normals
+    if not np.isfinite(moved).all():
+        raise ValueError("vertex coordinates must be finite")
+    return moved
+
+
 def parallel_curve(curve: DiscreteCurve, t: float) -> DiscreteCurve:
     """Offset curve p_k + t N_k; every edge stays parallel to its source edge."""
     _offset_factors(curve, t, "a parallel offset")
-    return curve.with_points(curve.points + t * vertex_normals(curve))
+    return curve.with_points(_offset_points(curve.points, t, vertex_normals(curve)))
 
 
 @dataclass(frozen=True)
@@ -121,23 +130,25 @@ def steiner_report(curve: DiscreteCurve, t: float) -> SteinerReport:
     The identity is algebraically exact, so max_abs_error is pure round-off.
     Requires 1 - t * kappa(e_k) > 0 on every edge (no sign flip under the
     absolute value).  The predicted lengths are taken on the lengths at the
-    curve's power of two and scaled back.  The actual lengths are those of
-    the offset points p_k + t N_k, taken at their own power of two as
-    parallel_curve's curve would take them (ValueError where a point is not
-    finite, ZeroEdge where an edge vanishes), but no curve is built.
+    curve's power of two e.  The actual lengths are those of the offset
+    points p_k + t N_k, taken at their own power of two d as parallel_curve's
+    curve would take them (ValueError where a point is not finite, ZeroEdge
+    where an edge vanishes), but no curve is built.  The error is taken at
+    the curve's power of two, the actual lengths converted there from d, so
+    it is finite where both lengths overflow; each is scaled back once.
     """
     factors = _offset_factors(curve, t, "the Steiner report")
-    predicted = _unscaled(curve._scaled[2] * factors, curve._scale[1])
-    offset = curve.points + t * vertex_normals(curve)
-    if not np.isfinite(offset).all():
-        raise ValueError("vertex coordinates must be finite")
-    e = _scale_of(offset)[1]
-    actual = _unscaled(_at_scale(offset, curve.closed, e)[2], e)
+    e = curve._scale[1]
+    predicted = curve._scaled[2] * factors
+    offset = _offset_points(curve.points, t, vertex_normals(curve))
+    d = _scale_of(offset)[1]
+    actual = _at_scale(offset, curve.closed, d)[2]
+    error = np.max(np.abs(predicted - _unscaled(actual, d - e)))
     return SteinerReport(
         t=float(t),
-        predicted_lengths=predicted,
-        actual_lengths=actual,
-        max_abs_error=float(np.max(np.abs(predicted - actual))),
+        predicted_lengths=_unscaled(predicted, e),
+        actual_lengths=_unscaled(actual, d),
+        max_abs_error=float(_unscaled(error, e)),
     )
 
 
@@ -180,13 +191,9 @@ def offset_polygon(curve: DiscreteCurve, t: float, variant: str) -> DiscreteCurv
         return parallel_curve(curve, t)
     if variant == "segment":
         _check_offset(curve, t, "the segment offset")
-        nu = curve.edge_normals
-        pts, nxt = _at_edges(curve.closed, curve.points)
-        doubled = np.empty((2 * curve.n, 2))
-        doubled[0::2] = pts + t * nu
-        doubled[1::2] = nxt + t * nu
-        if not np.isfinite(doubled).all():
-            raise ValueError("vertex coordinates must be finite")
+        # p_k + t nu_k and p_{k+1} + t nu_k, the two ends of offset edge k, in turn
+        ends = np.stack(_at_edges(curve.closed, curve.points), axis=1).reshape(-1, 2)
+        doubled = _offset_points(ends, t, np.repeat(curve.edge_normals, 2, axis=0))
         # straight vertices (theta = 0) duplicate their corner point; drop them.  The gaps
         # are taken at the doubled points' own power of two, 1e-14 * diameter at the curve's
         e = _scale_of(doubled)[1]

@@ -21,33 +21,51 @@ import numpy as np
 from .curves import DiscreteCurve, _at_edges, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
 from .curves import _unscaled
 from .errors import MeanNotZero, NotEquilibrium
-from .variation import _check_field, classify_equilibrium
+from .variation import _check_field, _times_kappa, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
 MEAN_TOL = 1e-10
 
 
+def _field_scale(values):
+    """(values 2^-f, f), f the power of two of max |values|: 2^f > max |values| >= 2^(f-1), f = 0 where it is 0.
+
+    A field, its differences or a length of the closed form is taken at its
+    own power of two, as a curve's points are at the curve's (curves._scale_of).
+    """
+    f = math.frexp(float(np.abs(values).max()))[1]
+    return _unscaled(values, -f), f
+
+
 def qv_form(curve: DiscreteCurve, field) -> float:
-    """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol."""
+    """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol.
+
+    inf, with no warning, only where the form is beyond the float range.
+    """
+    return float(_unscaled(*_scaled_qv_form(curve, field)))
+
+
+def _scaled_qv_form(curve: DiscreteCurve, field) -> tuple[float, int]:
+    """(qv_form 2^-2f, 2f): the form on the field 2^-f at its own power of two f."""
     _require_closed(curve, "the volume form")
-    v, v_next = _at_edges(curve.closed, _check_field(curve, field))
-    return float(np.sum(v * rot90(v_next, curve.sigma)))
+    w, f = _field_scale(_check_field(curve, field))
+    w, w_next = _at_edges(curve.closed, w)
+    return float(np.sum(w * rot90(w_next, curve.sigma))), 2 * f
 
 
 def ql_form(curve: DiscreteCurve, field) -> float:
     """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
 
     R nu_k = -t_k, so the projection is taken on the unit tangent.  The sum
-    is taken on the field's differences 2^-f at their own power of two f and
-    the lengths 2^-e at the curve's power of two e, where it is the form
-    times 2^(e-2f), and scaled back by 2^(2f-e).
+    is taken on the field's differences 2^-f at their own power of two f
+    (_field_scale) and the lengths 2^-e at the curve's power of two e, where
+    it is the form times 2^(e-2f), and scaled back by 2^(2f-e).
     """
     _require_closed(curve, "the length form")
     v, v_next = _at_edges(curve.closed, _check_field(curve, field))
-    dv = v_next - v
-    f = math.frexp(float(np.abs(dv).max()))[1]
+    dv, f = _field_scale(v_next - v)
     l = curve._scaled[2]
-    grad = _by_rows(np.divide, _unscaled(dv, -f), l)
+    grad = _by_rows(np.divide, dv, l)
     proj = _dot(grad, curve.tangents)
     return float(_unscaled(np.sum((_dot(grad, grad) - proj * proj) * l), 2 * f - curve._scale[1]))
 
@@ -56,14 +74,16 @@ def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-
     """delta^2 L = Q^L + kappa Q^V along an affine variation at an equilibrium.
 
     Refuses non-equilibrium curves: away from criticality the value has no
-    variational meaning for the constrained problem.
+    variational meaning for the constrained problem.  kappa Q^V is kappa
+    times Q^V at the field's power of two, through variation._times_kappa,
+    so it is finite wherever the product is, at any radius.
     """
     report = classify_equilibrium(curve, kappa, tol=tol)
     if not report.is_equilibrium:
         raise NotEquilibrium(
             f"max residual {report.max_residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    return ql_form(curve, field) + kappa * qv_form(curve, field)
+    return ql_form(curve, field) + float(_times_kappa(kappa, *_scaled_qv_form(curve, field)))
 
 
 class NormalTangentField(NamedTuple):
@@ -101,7 +121,7 @@ def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
 def _regular_data(n: int, m: int, a: float = 1.0):
     """(l_0, kappa, tan^2(m pi / n)) of the regular polygon (n, m, a)."""
     _check_regular(n, m, a)
-    l0 = 2.0 * a * np.sin(m * np.pi / n)
+    l0 = 2.0 * (a * np.sin(m * np.pi / n))  # the same bits as (2 a) sin, which overflows above a = 2^1022
     kappa = -1.0 / (a * np.cos(m * np.pi / n))
     return l0, kappa, np.tan(m * np.pi / n) ** 2
 
@@ -118,27 +138,29 @@ def second_variation_regular(n: int, m: int, a: float, psi, eta=None) -> float:
                       + tan^2(theta_0/2) (kappa grad psi_k (eta_{k+1} + eta_k)
                                           + |grad eta|^2) ] l_0
 
-    with l_0 = 2 a sin(m pi/n) and kappa = -1/(a cos(m pi/n)); psi and eta are
-    coordinates in the (N_k, T_k) frame of the sigma = -1 polygon.  The value
-    is the quadratic form itself; restricting to sum psi_k = 0 is what makes
-    it a stability test.
+    with l_0 = 2 a sin(m pi/n), kappa = -1/(a cos(m pi/n)) and
+    grad psi_k = (psi_{k+1} - psi_k) / l_0; psi and eta are coordinates in the
+    (N_k, T_k) frame of the sigma = -1 polygon.  The value is the quadratic
+    form itself; restricting to sum psi_k = 0 is what makes it a stability
+    test.  The sum is taken with the dimensionless kappa l_0 = -2 tan(m pi/n)
+    on psi and eta 2^-f at their joint power of two f, and divided by l_0
+    once, so it holds at every radius.
     """
-    l0, kappa, tan_sq = _regular_data(n, m, a)
+    l0, _, tan_sq = _regular_data(n, m, a)
+    kappa_l0 = -2.0 * np.tan(m * np.pi / n)
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (n,):
         raise ValueError(f"psi must have shape ({n},)")
+    eta = np.zeros(n) if eta is None else np.asarray(eta, dtype=float)
+    if eta.shape != (n,):
+        raise ValueError(f"eta must have shape ({n},)")
 
-    dpsi = (np.roll(psi, -1) - psi) / l0
-    value = np.sum(dpsi * dpsi) - kappa**2 * np.sum(psi * np.roll(psi, -1))
-    if eta is not None:
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (n,):
-            raise ValueError(f"eta must have shape ({n},)")
-        deta = (np.roll(eta, -1) - eta) / l0
-        value += tan_sq * (
-            kappa * np.sum(dpsi * (np.roll(eta, -1) + eta)) + np.sum(deta * deta)
-        )
-    return float(value * l0)
+    (psi, eta), f = _field_scale(np.stack([psi, eta]))
+    dpsi, deta = np.roll(psi, -1) - psi, np.roll(eta, -1) - eta
+    value = np.sum(dpsi * dpsi) - kappa_l0**2 * np.sum(psi * np.roll(psi, -1))
+    value += tan_sq * (kappa_l0 * np.sum(dpsi * (np.roll(eta, -1) + eta)) + np.sum(deta * deta))
+    l0, h = _field_scale(l0)
+    return float(_unscaled(value / l0, 2 * f - h))
 
 
 def harmonic_field(n: int, j: int, A: float = 1.0, B: float = 0.0) -> np.ndarray:

@@ -68,8 +68,8 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
 
     functional is "length", "volume", or "length_plus_kappa_vol" (with kappa).
     The volume term is taken on the area gradient 2^-e from the curve's chords
-    at its power of two e, and scaled back by 2^e; kappa's term on kappa's
-    mantissa k, kappa = k 2^g, and scaled back by 2^(e+g).
+    at its power of two e, and scaled back by 2^e; kappa's term through
+    _times_kappa.
     """
     v = _check_field(curve, field)
     if functional == "length":
@@ -85,8 +85,7 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
     u = _volume_gradients(curve._scaled_chords, curve.sigma)  # gradVol 2^-e
     if functional == "volume":
         return float(_unscaled(np.sum(u * v), e))
-    k, g = math.frexp(kappa)
-    return float(np.sum((length_gradients(curve) + _unscaled(k * u, e + g)) * v))
+    return float(np.sum((length_gradients(curve) + _times_kappa(kappa, u, e)) * v))
 
 
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
@@ -136,30 +135,39 @@ def _kappa(c: float, e: int) -> float:
         raise ZeroVolumeGradient("area gradient too small: kappa overflows") from None
 
 
+def _times_kappa(kappa: float, values, e: int):
+    """kappa times values 2^e, for values taken at a power of two e.
+
+    kappa's mantissa k, kappa = k 2^g, times the values, scaled back once by
+    2^(e+g): the bits of kappa times values 2^e wherever both are in the
+    normal range, every bit of a subnormal kappa kept, and inf, with no
+    warning, only where the product is beyond the float range.  The one place
+    kappa multiplies a quantity of L + kappa Vol.
+    """
+    k, g = math.frexp(kappa)
+    return _unscaled(k * values, e + g)
+
+
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Euler-Lagrange residual A_k per vertex.
 
-    (kappa/2)(p_{k+1} - p_{k-1}) is taken on the curve's chords 2^-e at its
-    power of two e and kappa's mantissa k, kappa = k 2^g, and scaled back by
-    2^(e+g), so neither leaves the normal range on the way.
+    (kappa/2)(p_{k+1} - p_{k-1}) is kappa times half the curve's chords 2^-e
+    at its power of two e, through _times_kappa.
     """
     _require_closed(curve, "the equilibrium residual")
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    k, g = math.frexp(kappa)
-    return (nu - nu_prev) + _unscaled(0.5 * k * curve._scaled_chords, curve._scale[1] + g)
+    return (nu - nu_prev) + _times_kappa(kappa, 0.5 * curve._scaled_chords, curve._scale[1])
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """Per-edge vectors c_k = nu_k + (kappa/2)(p_{k+1} + p_k); constant at equilibria.
 
-    (kappa/2)(p_{k+1} + p_k) is taken on the points x = p 2^-e at the
-    curve's power of two e and kappa's mantissa k, kappa = k 2^g, and scaled
-    back by 2^(e+g).
+    (kappa/2)(p_{k+1} + p_k) is kappa times half the sums of the points
+    x = p 2^-e at the curve's power of two e, through _times_kappa.
     """
     _require_closed(curve, "the conservation vector")
     x, x_next = _at_edges(curve.closed, curve._scaled[0])
-    k, g = math.frexp(kappa)
-    return curve.edge_normals + _unscaled(0.5 * k * (x_next + x), curve._scale[1] + g)
+    return curve.edge_normals + _times_kappa(kappa, 0.5 * (x_next + x), curve._scale[1])
 
 
 def _regular_hessian_blocks(n: int, m: int):
@@ -229,9 +237,9 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
     """Decide criticality of L + kappa*Vol and extract the regular-polygon data.
 
     The residual is compared against tol * max(1, |kappa| * diameter), and
-    it passes only where both are finite.  kappa's mantissa k, kappa = k 2^g,
-    times the curve's chords and lengths 2^-e at its power of two e is scaled
-    back by 2^(e+g), and l0 is inf where it overflows.  A positive verdict asserts (not assumes) the
+    it passes only where both are finite.  |kappa| * diameter and kappa * l0
+    are kappa times the curve's diameter and lengths 2^-e at its power of two
+    e, through _times_kappa, and l0 is inf where it overflows.  A positive verdict asserts (not assumes) the
     regular-polygon structure: uniform edge lengths and turning angles, and
     kappa * l0 = 2 tan(theta0/2).  ValueError where kappa or tol is not finite.
     """
@@ -243,8 +251,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         raise KappaZero("classification requires kappa != 0")
     max_residual = float(_norms(equilibrium_residual(curve, kappa)).max())
     diameter, e = curve._scale
-    k, g = math.frexp(kappa)
-    scale = max(1.0, float(_unscaled(abs(k) * diameter, e + g)))
+    scale = max(1.0, abs(float(_times_kappa(kappa, diameter, e))))
     is_equilibrium = max_residual <= tol * scale < math.inf
 
     l = curve._scaled[2]
@@ -265,7 +272,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
         if np.abs(l - l0).max() > 0.5 * slack * l0 or np.abs(theta - theta0).max() > slack:
             raise InternalInconsistency("residual passed but the curve is not a regular polygon")
-        kappa_l0 = float(_unscaled(k * l0, e + g))
+        kappa_l0 = float(_times_kappa(kappa, l0, e))
         if abs(kappa_l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(kappa_l0)):
             raise InternalInconsistency("kappa * l0 = 2 tan(theta0/2) violated")
     return EquilibriumReport(

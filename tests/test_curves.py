@@ -90,6 +90,19 @@ def test_make_curve_too_few_vertices():
         make_curve([(0, 0), (1, 0)], closed=True)
     with pytest.raises(TooFewVertices):
         make_curve([(0, 0)], closed=False)
+    with pytest.raises(TooFewVertices):
+        regular_polygon(2)
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((4, 3)), "array of vertices"),
+    (np.zeros(8), "array of vertices"),
+    ([(0, 0), (1, np.nan), (0, 1)], "must be finite"),
+    ([(0, 0), (1, 0), (0, -np.inf)], "must be finite"),
+], ids=["three-columns", "flat", "nan", "inf"])
+def test_make_curve_rejects_malformed_points(points, message):
+    with pytest.raises(ValueError, match=message):
+        make_curve(points)
 
 
 def test_make_curve_bad_sigma():
@@ -381,6 +394,7 @@ def test_power_of_two_scale_keeps_every_bit(rng, closed):
                 scaled_field = np.ldexp(field, k)
             if np.isfinite(scaled_field).all():
                 same(pv.ql_form(curve, scaled_field), pv.ql_form(unit, field), k)
+                same(pv.qv_form(curve, scaled_field), pv.qv_form(unit, field), 2 * k)  # inf beyond the range
             same(pv.fourier_decompose(curve), pv.fourier_decompose(unit), k)
             segment = pv.offset_polygon(curve, np.ldexp(t, k), "segment")
             same(segment.points, pv.offset_polygon(unit, t, "segment").points, k)
@@ -388,9 +402,12 @@ def test_power_of_two_scale_keeps_every_bit(rng, closed):
             scaled_kappa = np.ldexp(kappa, -k)
             for reader in (pv.conservation_vectors, pv.equilibrium_residual):  # kappa 2^-1023 is subnormal
                 same(reader(curve, scaled_kappa), reader(unit, kappa))
+            report = pv.steiner_report(curve, np.ldexp(t, k))
+            assert np.isfinite(report.max_abs_error)  # where the lengths themselves overflow too
             if k <= 1000:  # at 2^1023 the curvatures in Steiner's factors are below the normal range
-                predicted = pv.steiner_report(curve, np.ldexp(t, k)).predicted_lengths
-                same(predicted, pv.steiner_report(unit, t).predicted_lengths, k)
+                unit_report = pv.steiner_report(unit, t)
+                same(report.predicted_lengths, unit_report.predicted_lengths, k)
+                same(report.max_abs_error, unit_report.max_abs_error, k)
         assert np.isinf(curve.edge_vectors[0]).all() and curve.edge_lengths[0] == np.inf
 
 

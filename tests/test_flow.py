@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import polyvar.flow
 from polyvar import (
     DiscreteCurve,
     FlowConfig,
@@ -132,6 +133,16 @@ def test_run_flow_zero_steps():
     assert trajectory.steps_taken == 0
     assert [snap.step for snap in trajectory.snapshots] == [0]
     assert np.array_equal(trajectory.snapshots[0].curve.points, rect.points)
+
+
+def test_run_flow_degenerates_without_an_acceptable_step(monkeypatch):
+    monkeypatch.setattr(polyvar.flow, "_accepted", lambda *args: None)
+    rect = make_curve([(0, 0), (2, 0), (2, 1), (0, 1)])
+    trajectory = run_flow(rect, FlowConfig())
+    assert trajectory.verdict == "degenerated"
+    assert trajectory.reason.startswith("no acceptable step at step 0")
+    assert trajectory.report is None and trajectory.kappa_estimate is None
+    assert trajectory.steps_taken == 0 and [snap.step for snap in trajectory.snapshots] == [0]
 
 
 def test_run_flow_square_converges_immediately(sq):

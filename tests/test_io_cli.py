@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import polyvar.flow
 from polyvar import cli, errors, make_curve, regular_polygon
 from polyvar.cli import main
 from polyvar.io import (
@@ -265,6 +266,7 @@ DEGENERATE_CURVES = {
     "back-and-forth": ([(0, 0), (2, 0), (1, 0), (3, 0)], False),
     "cusp": ([(0, 0), (2, 0), (3, 0), (2.5, 0), (2, 2), (0, 2)], True),
     "open": ([(0, 0), (1, 0), (1, 1)], False),
+    "not-finite": ([(0, 0), (1, float("nan")), (float("inf"), 1)], True),  # the JSON literals NaN and Infinity
 }
 
 
@@ -284,6 +286,20 @@ def test_cli_degenerate_curve_exits_cleanly(name, command, tmp_path, capsys):
     assert "Traceback" not in err and "Warning" not in err
     if code:
         assert err.startswith("polyvar: error:") and err.count("\n") == 1
+
+
+# a run that does not converge ends with the line of its verdict, and exit 0
+@pytest.mark.parametrize("max_steps, reject, line", [
+    ("0", False, "not converged after 0 steps\n"),
+    ("10", True, "degenerated: no acceptable step at step 0 "),
+], ids=["max-steps", "degenerated"])
+def test_cli_flow_verdict_line(max_steps, reject, line, monkeypatch, tmp_path, capsys):
+    if reject:
+        monkeypatch.setattr(polyvar.flow, "_accepted", lambda *args: None)
+    path = tmp_path / "rect.json"
+    write_curve(make_curve([(0, 0), (2, 0), (2, 1), (0, 1)]), path)
+    assert run_cli("flow", "--in", str(path), "--max-steps", max_steps, "--out", str(tmp_path / "f")) == 0
+    assert capsys.readouterr().err.startswith(line)
 
 
 def test_cli_flow_overflowing_step_converges_quietly(tmp_path, capsys):

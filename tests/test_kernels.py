@@ -304,3 +304,30 @@ def test_the_ldexp_scan_sees_every_spelling():
     for line in ("np.ldexp(kappa, e)", "math.ldexp(c, -e)", "from numpy import ldexp", "scale = np.ldexp"):
         assert LDEXP.search(line), line
     assert not LDEXP.search("math.frexp(diameter)") and not LDEXP.search("_unscaled(values, e)")
+
+
+FREXP = re.compile(r"\bfrexp\b")
+# the curve's power of two (curves._scale_of), kappa's (variation._times_kappa) and a field's (stability._field_scale)
+FREXP_ALLOWED = [
+    ("curves.py", "return math.frexp(diameter)"),
+    ("stability.py", "f = math.frexp(float(np.abs(values).max()))[1]"),
+    ("variation.py", "k, g = math.frexp(kappa)"),
+]
+
+
+def test_only_three_helpers_take_a_power_of_two():
+    """Every other reader takes its operand's power of two through one of these three helpers."""
+    package = Path(polyvar.__file__).parent
+    found = [
+        (path.name, line.strip())
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if FREXP.search(line)
+    ]
+    assert found == FREXP_ALLOWED
+
+
+def test_the_frexp_scan_sees_every_spelling():
+    for line in ("k, g = math.frexp(kappa)", "np.frexp(values)", "from math import frexp", "split = np.frexp"):
+        assert FREXP.search(line), line
+    assert not FREXP.search("math.ldexp(c, -e)") and not FREXP.search("_field_scale(values)")

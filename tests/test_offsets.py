@@ -270,6 +270,14 @@ def test_offsets_reject_distance_not_finite(sq, t):
             call()
 
 
+def test_offset_points_beyond_the_float_range():
+    # p_k + t N_k overflows: each reader raises ValueError, with no RuntimeWarning on the way
+    hexagon = regular_polygon(6, a=1e308)
+    for call in (parallel_curve, steiner_report, lambda curve, t: offset_polygon(curve, t, "segment")):
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            call(hexagon, 1.5e308)
+
+
 def test_offset_polygon_wedge_is_parallel_curve(sq):
     assert np.allclose(offset_polygon(sq, 0.4, "wedge").points, parallel_curve(sq, 0.4).points)
 

@@ -35,6 +35,8 @@ from helpers import (
 SQRT2 = np.sqrt(2.0)
 KAPPA_SQ = -SQRT2
 KAPPA_PENT = -1 / np.cos(2 * np.pi / 5)
+# radii where kappa^2, the volume form of a field that grows with the polygon or 1 / l_0 leave the float range
+FAR_RADII = (1e-300, 1e-160, 1e160, 1e200, 1e300)
 
 
 # ------------------------------------------------------------- quadratic forms
@@ -210,16 +212,22 @@ def test_decompose_rejects_cusp():
 # ------------------------------------------------- regular-polygon closed form
 
 def test_second_variation_regular_matches_curve_form(rng):
-    for n, m in [(4, 1), (5, 2), (7, 3), (9, 4), (5, 3), (8, 1)]:
-        a = float(rng.uniform(0.5, 2.0))
-        poly = regular_polygon(n, m, a)
-        kappa = regular_polygon_kappa(n, m, a)
-        psi = rng.normal(size=n)
-        eta = rng.normal(size=n)
-        v = reconstruct_field(poly, psi, eta)
-        assert second_variation(poly, kappa, v) == pytest.approx(
-            second_variation_regular(n, m, a, psi, eta), rel=1e-10
-        )
+    for n, m in [(4, 1), (5, 2), (7, 3), (9, 4), (5, 3), (8, 1), (6, 1), (12, 5)]:
+        for a in (float(rng.uniform(0.5, 2.0)), *FAR_RADII):
+            poly = regular_polygon(n, m, a)
+            kappa = regular_polygon_kappa(n, m, a)
+            psi = rng.normal(size=n)
+            eta = rng.normal(size=n)
+            for scale in (1.0, a):  # fields of order 1, and fields that grow with the polygon
+                v = reconstruct_field(poly, scale * psi, scale * eta)
+                assert second_variation(poly, kappa, v) == pytest.approx(
+                    second_variation_regular(n, m, a, scale * psi, scale * eta), rel=1e-10
+                ), (n, m, a, scale)
+    # a fixed field on the polygon of radius 2^k: the unit polygon's value times 2^-k, up to 2^1023
+    psi, eta = rng.normal(size=6), rng.normal(size=6)
+    unit = second_variation_regular(6, 1, 1.0, psi, eta)
+    for k in (-1000, 1000, 1023):
+        assert second_variation_regular(6, 1, 2.0**k, psi, eta) == pytest.approx(np.ldexp(unit, -k), rel=1e-12)
 
 
 def test_jacobi_form_is_normal_second_variation(rng):
@@ -239,18 +247,19 @@ def test_jacobi_form_is_normal_second_variation(rng):
 
 
 def test_neutral_modes_on_every_regular_polygon():
-    # translations and the rotation field are flat directions of L + kappa*Vol
+    # translations and the rotation field are flat directions of L + kappa*Vol, at every radius
     for n in range(3, 13):
         for m in range(1, n):
             if 2 * m == n:
                 continue
-            poly = regular_polygon(n, m, 1.0)
-            kappa = regular_polygon_kappa(n, m, 1.0)
-            for shift in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-                value = second_variation(poly, kappa, np.tile(shift, (n, 1)))
-                assert abs(value) < 1e-10, (n, m)
-            rotation = rot90(poly.points, poly.sigma)
-            assert abs(second_variation(poly, kappa, rotation)) < 1e-10, (n, m)
+            for a in (1.0, *FAR_RADII):
+                poly = regular_polygon(n, m, a)
+                kappa = regular_polygon_kappa(n, m, a)
+                for shift in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+                    value = second_variation(poly, kappa, np.tile(shift, (n, 1)))
+                    assert abs(value) < 1e-10, (n, m, a)
+                rotation = rot90(poly.points, poly.sigma)  # grows with the polygon, as Q^L does
+                assert abs(second_variation(poly, kappa, rotation)) < 1e-10 * max(1.0, a), (n, m, a)
 
 
 def test_second_variation_regular_constant_eta_is_neutral():
