@@ -5,7 +5,7 @@ Each step projects the length gradient onto the volume-preserving subspace
 the vertices, and restores the enclosed area exactly by a homothety about the
 vertex centroid (area is quadratic under scaling, so the correct factor is
 sqrt(target / current)).  The projection and the multiplier kappa are
-variation's (project_volume_preserving, lagrange_kappa); flow re-exports them.
+variation's (project_volume_preserving, lagrange_kappa).
 
 The step direction is d = P (g - lam u): g the projected gradient, u the area
 gradient, lam the multiplier that makes <u, d> = 0 (so d preserves the area
@@ -53,11 +53,12 @@ overshoot it: the step skips the momentum trial and restarts k.  So the
 length falls at every step and the area is restored exactly.
 
 _step is the one step, written on arrays: the points, their edges and their
-lengths go in, and the accepted trial's come out.  run_flow takes the power
-of two e of the starting curve (curves._scale_of), iterates _step on the
-points times 2^-e and builds a curve only for each snapshot; at convergence
-the last step's multiplier is kappa and the last snapshot is classified as
-an equilibrium.  flow_step is one plain step on a curve, run_flow's first.
+lengths go in, and the accepted trial's come out.  flow_step and run_flow
+share one start, _start: the closed curve's power of two e (curves._scale_of),
+its points times 2^-e with their edges and lengths, and its own area, which
+every step restores.  run_flow iterates _step and builds a curve only for
+each snapshot; at convergence the last step's multiplier is kappa and the
+last snapshot is classified as an equilibrium.  flow_step is its first step.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import DiscreteCurve, _area, _at_scale, _chords, _dot, _edge_vectors, _norms, _scale_of, _signed_area
-from .curves import _by_rows, _require_closed, _tangents, _turning_angles, _turning_number, _unscaled, rot90
+from .curves import _by_rows, _require_closed, _tangents, _turning_angles, _turning_number, rot90
 from .errors import CuspPresent, NonIntegerTurning
 from .variation import EquilibriumReport, _along, _kappa, _length_gradients, _names_regular_polygon
 from .variation import _regular_hessian_spectrum, _volume_gradients, classify_equilibrium
-from .variation import lagrange_kappa, project_volume_preserving  # re-exported
 
 MAX_HALVINGS = 20
 
@@ -284,31 +284,35 @@ def _step(x, edges, lengths, sigma, target, cap, tolerance, diameter, momentum):
     return c, gradnorm, None, trials, None
 
 
-def _scaled(curve: DiscreteCurve, step_size: float):
-    """(e, x, edges, lengths, cap, diameter) at x = points 2^-e, e the curve's power of two; under the flow's errstate."""
+def _start(curve: DiscreteCurve, step_size: float):
+    """(e, x, edges, lengths, target, cap, diameter) at x = points 2^-e, e the closed curve's power of two.
+
+    target is the curve's own area and cap the step_size, at x's scale; under the flow's errstate.
+    """
+    _require_closed(curve, "the constrained flow")
     diameter, e = _scale_of(curve.points)
-    return e, *_at_scale(curve.points, True, e), float(np.ldexp(step_size, -e)), diameter
+    x, edges, lengths = _at_scale(curve.points, True, e)
+    return e, x, edges, lengths, _signed_area(x, curve.sigma), float(np.ldexp(step_size, -e)), diameter
 
 
-def flow_step(curve: DiscreteCurve, config: FlowConfig, target_volume: float | None = None):
-    """run_flow's plain step on a curve (see the module docstring); returns (new_curve, diagnostics dict).
+def flow_step(curve: DiscreteCurve, config: FlowConfig):
+    """run_flow's first step on a curve (see the module docstring); returns (new_curve, diagnostics dict).
 
     The step is x - h d from h = min(config.step_size, L / (4n)), backtracked
     (up to 20 halvings) if it produces a zero edge, flips the enclosed area,
     or does not decrease the length by a tenth of h <g, d>, up to a round-off
-    slack of 1e-14 L, and restores the area to target_volume (by default the
-    curve's own).  diagnostics carries the curve's length and volume, the
-    pre-step max |g_k| that the convergence test reads, the accepted step
-    size (None if converged or no acceptable step exists) and the number of
-    trial point sets evaluated, "trials".
+    slack of 1e-14 L, and restores the curve's own area.  diagnostics carries
+    the curve's length and volume, the pre-step max |g_k| that the
+    convergence test reads, the accepted step size (None if converged or no
+    acceptable step exists) and the number of trial point sets evaluated,
+    "trials".
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_flow
-        e, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)
-        target = _signed_area(x, curve.sigma) if target_volume is None else float(np.ldexp(target_volume, -2 * e))
+        e, x, edges, lengths, target, cap, diameter = _start(curve, config.step_size)
         _, gradnorm, h, trials, accepted = _step(
             x, edges, lengths, curve.sigma, target, cap, config.grad_tolerance, diameter, None
         )
-    length, volume = float(_unscaled(lengths.sum(), e)), _area(x, curve.sigma, e)
+        length, volume = float(np.ldexp(lengths.sum(), e)), float(np.ldexp(target, 2 * e))
     diagnostics = {"max_projected_gradient": gradnorm, "length": length, "volume": volume}
     diagnostics.update(step_size_used=None if h is None else math.ldexp(h, e), trials=trials)
     if accepted is None:
@@ -326,13 +330,11 @@ def run_flow(curve: DiscreteCurve, config: FlowConfig = FlowConfig()) -> FlowTra
     snapshot to classify_equilibrium with the last step's multiplier,
     lagrange_kappa to the bit; a step with no acceptable size degenerates the run.
     """
-    _require_closed(curve, "the constrained flow")
     snapshots: list[FlowSnapshot] = []
     sigma, trials, step_sizes, momentum = curve.sigma, [], [], {}
     # an overflowing trial step fails the area test; its numpy warnings would only reach stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        e, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)
-        target = _signed_area(x, sigma)
+        e, x, edges, lengths, target, cap, diameter = _start(curve, config.step_size)
         for step in range(config.max_steps + 1):
             c, gradnorm, h, count, accepted = _step(
                 x, edges, lengths, sigma, target, cap, config.grad_tolerance, diameter, momentum

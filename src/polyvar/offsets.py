@@ -75,14 +75,15 @@ def _check_offset(curve: DiscreteCurve, t: float, what: str):
 
 
 def _offset_factors(curve: DiscreteCurve, t: float, what: str) -> np.ndarray:
-    """1 - t * kappa(e_k) per edge of a closed, cusp-free curve.
+    """1 - t * kappa(e_k) per edge of a closed, cusp-free curve; +-inf, with no warning, where t * kappa(e_k) overflows.
 
     EdgeCollapse where a factor is at or below EDGE_COLLAPSE_TOL: that edge
     of the offset would vanish or point backwards.
     """
     _check_offset(curve, t, what)
     _require_no_cusp(curve.cusp_mask)
-    factors = 1.0 - t * curve.edge_curvatures
+    with np.errstate(over="ignore"):
+        factors = 1.0 - t * curve.edge_curvatures
     collapsing = np.flatnonzero(factors <= EDGE_COLLAPSE_TOL)
     if collapsing.size:
         raise EdgeCollapse(int(collapsing[0]))
@@ -93,10 +94,11 @@ def _require_corners_away(curve: DiscreteCurve, t: float, variant: str):
     """CornerOverlap at the first vertex whose segment or arc join turns toward the offset, t * theta_k > 0.
 
     The segment and arc length formulas count every corner chord or arc as
-    turning away from the offset; the wedge join has no such corner.
+    turning away from the offset; the wedge join has no such corner.  The
+    test compares the signs of theta_k and t, so that no product overflows.
     """
     if variant in ("segment", "arc"):
-        toward = np.flatnonzero(t * curve.turning_angles > 0)
+        toward = np.flatnonzero(np.sign(t) * curve.turning_angles > 0)
         if toward.size:
             raise CornerOverlap(int(toward[0]), variant)
 

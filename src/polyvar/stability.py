@@ -56,34 +56,45 @@ def _scaled_qv_form(curve: DiscreteCurve, field) -> tuple[float, int]:
 def ql_form(curve: DiscreteCurve, field) -> float:
     """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
 
-    R nu_k = -t_k, so the projection is taken on the unit tangent.  The sum
-    is taken on the field's differences 2^-f at their own power of two f
-    (_field_scale) and the lengths 2^-e at the curve's power of two e, where
-    it is the form times 2^(e-2f), and scaled back by 2^(2f-e).
+    R nu_k = -t_k, so the projection is taken on the unit tangent.
+    """
+    return float(_unscaled(*_scaled_ql_form(curve, field)))
+
+
+def _scaled_ql_form(curve: DiscreteCurve, field) -> tuple[float, int]:
+    """(ql_form 2^(e-2f), 2f-e), the sum taken as a pair, as _scaled_qv_form's is.
+
+    It is taken on the field's differences 2^-f at their own power of two f
+    (_field_scale), formed on the field at its own power of two so that they
+    cannot overflow, and the lengths 2^-e at the curve's power of two e.
     """
     _require_closed(curve, "the length form")
-    v, v_next = _at_edges(curve.closed, _check_field(curve, field))
-    dv, f = _field_scale(v_next - v)
+    w, g = _field_scale(_check_field(curve, field))
+    w, w_next = _at_edges(curve.closed, w)
+    dv, h = _field_scale(w_next - w)  # the differences 2^-f, f = g + h
     l = curve._scaled[2]
     grad = _by_rows(np.divide, dv, l)
     proj = _dot(grad, curve.tangents)
-    return float(_unscaled(np.sum((_dot(grad, grad) - proj * proj) * l), 2 * f - curve._scale[1]))
+    return float(np.sum((_dot(grad, grad) - proj * proj) * l)), 2 * (g + h) - curve._scale[1]
 
 
 def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-8) -> float:
     """delta^2 L = Q^L + kappa Q^V along an affine variation at an equilibrium.
 
     Refuses non-equilibrium curves: away from criticality the value has no
-    variational meaning for the constrained problem.  kappa Q^V is kappa
-    times Q^V at the field's power of two, through variation._times_kappa,
-    so it is finite wherever the product is, at any radius.
+    variational meaning for the constrained problem.  Q^L and kappa Q^V
+    (through variation._times_kappa) are each taken at a power of two of
+    their own, added at the larger of the two and scaled back once, so the
+    value is finite wherever it is in the float range, at any radius.
     """
     report = classify_equilibrium(curve, kappa, tol=tol)
     if not report.is_equilibrium:
         raise NotEquilibrium(
             f"max residual {report.max_residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    return ql_form(curve, field) + float(_times_kappa(kappa, *_scaled_qv_form(curve, field)))
+    (ql, a), (kqv, b) = _scaled_ql_form(curve, field), _times_kappa(kappa, *_scaled_qv_form(curve, field))
+    top = max(a, b)
+    return float(_unscaled(_unscaled(ql, a - top) + _unscaled(kqv, b - top), top))
 
 
 class NormalTangentField(NamedTuple):
@@ -118,17 +129,20 @@ def reconstruct_field(curve: DiscreteCurve, psi, eta=None) -> np.ndarray:
     return v
 
 
-def _regular_data(n: int, m: int, a: float = 1.0):
-    """(l_0, kappa, tan^2(m pi / n)) of the regular polygon (n, m, a)."""
+def _regular_data(n: int, m: int, a: float = 1.0) -> tuple[float, float]:
+    """(l_0, tan^2(m pi / n)) of the regular polygon (n, m, a).
+
+    Python floats, so that a quotient by l_0 beyond the float range is inf, with no warning.
+    """
     _check_regular(n, m, a)
     l0 = 2.0 * (a * np.sin(m * np.pi / n))  # the same bits as (2 a) sin, which overflows above a = 2^1022
-    kappa = -1.0 / (a * np.cos(m * np.pi / n))
-    return l0, kappa, np.tan(m * np.pi / n) ** 2
+    return float(l0), float(np.tan(m * np.pi / n) ** 2)
 
 
 def regular_polygon_kappa(n: int, m: int, a: float = 1.0) -> float:
-    """Lagrange multiplier of the regular polygon: -1 / (a cos(m pi / n))."""
-    return _regular_data(n, m, a)[1]
+    """Lagrange multiplier of the regular polygon: -1 / (a cos(m pi / n)); +-inf, with no warning, beyond the float range."""
+    _check_regular(n, m, a)
+    return -1.0 / float(a * np.cos(m * np.pi / n))
 
 
 def second_variation_regular(n: int, m: int, a: float, psi, eta=None) -> float:
@@ -146,7 +160,7 @@ def second_variation_regular(n: int, m: int, a: float, psi, eta=None) -> float:
     on psi and eta 2^-f at their joint power of two f, and divided by l_0
     once, so it holds at every radius.
     """
-    l0, _, tan_sq = _regular_data(n, m, a)
+    l0, tan_sq = _regular_data(n, m, a)
     kappa_l0 = -2.0 * np.tan(m * np.pi / n)
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (n,):
@@ -221,7 +235,7 @@ def jacobi_spectrum(n: int, m: int) -> SpectrumReport:
     The j = n (constant) eigenvector violates the zero-mean constraint and is
     excluded; the Morse index counts the remaining negative eigenvalues.
     """
-    alpha = 1.0 + 2.0 * _regular_data(n, m)[2]
+    alpha = 1.0 + 2.0 * _regular_data(n, m)[1]
     j = np.arange(1, n)
     eigenvalues = 2.0 - 2.0 * alpha * np.cos(2.0 * np.pi * j / n)
     negative = j[eigenvalues < 0]
@@ -249,7 +263,7 @@ class CertificateResult(NamedTuple):
 def certificate_coefficient(n: int, m: int, a: float = 1.0) -> float:
     """delta^2 L per unit sum psi_k^2 for the lowest harmonic normal field:
     (4 / l_0) [ sin^2(pi/n) - cos(2 pi/n) tan^2(m pi/n) ]."""
-    l0, _, tan_sq = _regular_data(n, m, a)
+    l0, tan_sq = _regular_data(n, m, a)
     return float((4.0 / l0) * (np.sin(np.pi / n) ** 2 - np.cos(2.0 * np.pi / n) * tan_sq))
 
 

@@ -85,7 +85,7 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
     u = _volume_gradients(curve._scaled_chords, curve.sigma)  # gradVol 2^-e
     if functional == "volume":
         return float(_unscaled(np.sum(u * v), e))
-    return float(np.sum((length_gradients(curve) + _times_kappa(kappa, u, e)) * v))
+    return float(np.sum((length_gradients(curve) + _unscaled(*_times_kappa(kappa, u, e))) * v))
 
 
 def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
@@ -136,16 +136,16 @@ def _kappa(c: float, e: int) -> float:
 
 
 def _times_kappa(kappa: float, values, e: int):
-    """kappa times values 2^e, for values taken at a power of two e.
+    """(k values, e + g), kappa = k 2^g: kappa times values 2^e, for values taken at a power of two e, as a pair.
 
-    kappa's mantissa k, kappa = k 2^g, times the values, scaled back once by
-    2^(e+g): the bits of kappa times values 2^e wherever both are in the
-    normal range, every bit of a subnormal kappa kept, and inf, with no
-    warning, only where the product is beyond the float range.  The one place
-    kappa multiplies a quantity of L + kappa Vol.
+    Scaled back once through _unscaled, kappa's mantissa k times the values
+    gives the bits of kappa times values 2^e wherever both are in the normal
+    range, every bit of a subnormal kappa kept, and inf, with no warning, only
+    where the product is beyond the float range.  The one place kappa
+    multiplies a quantity of L + kappa Vol.
     """
     k, g = math.frexp(kappa)
-    return _unscaled(k * values, e + g)
+    return k * values, e + g
 
 
 def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
@@ -156,7 +156,7 @@ def equilibrium_residual(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """
     _require_closed(curve, "the equilibrium residual")
     nu_prev, nu = _at_vertices(curve.closed, curve.edge_normals)
-    return (nu - nu_prev) + _times_kappa(kappa, 0.5 * curve._scaled_chords, curve._scale[1])
+    return (nu - nu_prev) + _unscaled(*_times_kappa(kappa, 0.5 * curve._scaled_chords, curve._scale[1]))
 
 
 def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
@@ -167,7 +167,7 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     """
     _require_closed(curve, "the conservation vector")
     x, x_next = _at_edges(curve.closed, curve._scaled[0])
-    return curve.edge_normals + _times_kappa(kappa, 0.5 * (x_next + x), curve._scale[1])
+    return curve.edge_normals + _unscaled(*_times_kappa(kappa, 0.5 * (x_next + x), curve._scale[1]))
 
 
 def _regular_hessian_blocks(n: int, m: int):
@@ -251,7 +251,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         raise KappaZero("classification requires kappa != 0")
     max_residual = float(_norms(equilibrium_residual(curve, kappa)).max())
     diameter, e = curve._scale
-    scale = max(1.0, abs(float(_times_kappa(kappa, diameter, e))))
+    scale = max(1.0, abs(float(_unscaled(*_times_kappa(kappa, diameter, e)))))
     is_equilibrium = max_residual <= tol * scale < math.inf
 
     l = curve._scaled[2]
@@ -272,7 +272,7 @@ def classify_equilibrium(curve: DiscreteCurve, kappa: float, tol: float = 1e-10)
         slack = 2.0 * tol * scale / (sin_half * _residual_conditioning(curve.n, m))  # 4 dp / l0
         if np.abs(l - l0).max() > 0.5 * slack * l0 or np.abs(theta - theta0).max() > slack:
             raise InternalInconsistency("residual passed but the curve is not a regular polygon")
-        kappa_l0 = float(_times_kappa(kappa, l0, e))
+        kappa_l0 = float(_unscaled(*_times_kappa(kappa, l0, e)))
         if abs(kappa_l0 - 2.0 * np.tan(0.5 * theta0)) > slack * max(1.0, abs(kappa_l0)):
             raise InternalInconsistency("kappa * l0 = 2 tan(theta0/2) violated")
     return EquilibriumReport(

@@ -50,6 +50,11 @@ def test_make_curve_square(sq):
     assert not sq.points.flags.writeable
 
 
+def test_repr_names_size_kind_and_sigma(sq):
+    assert repr(sq) == "DiscreteCurve(n=4, closed, sigma=-1)"
+    assert repr(make_curve([(0, 0), (1, 0), (1, 1)], closed=False, sigma=1)) == "DiscreteCurve(n=3, open, sigma=+1)"
+
+
 def test_make_curve_zero_edge():
     with pytest.raises(ZeroEdge) as err:
         make_curve([(0, 0), (0, 0), (1, 0)], closed=False)
@@ -199,6 +204,43 @@ def test_enclosed_volume_square(sq):
 def test_enclosed_volume_open_curve_rejected():
     with pytest.raises(OpenCurve):
         enclosed_volume(make_curve([(0, 0), (1, 0), (1, 1)], closed=False))
+
+
+# every public function that needs a closed curve, called on an open one with otherwise valid arguments
+NEEDS_CLOSED = {
+    "enclosed_volume": lambda c, v: pv.enclosed_volume(c),
+    "turning_number": lambda c, v: pv.turning_number(c),
+    "lagrange_kappa": lambda c, v: pv.lagrange_kappa(c),
+    "volume_gradients": lambda c, v: pv.volume_gradients(c),
+    "volume_gradient": lambda c, v: pv.volume_gradient(c, 1),
+    "fourier_decompose": lambda c, v: pv.fourier_decompose(c),
+    "conservation_vectors": lambda c, v: pv.conservation_vectors(c, -1.0),
+    "equilibrium_residual": lambda c, v: pv.equilibrium_residual(c, -1.0),
+    "classify_equilibrium": lambda c, v: pv.classify_equilibrium(c, -1.0),
+    "parallel_curve": lambda c, v: pv.parallel_curve(c, 0.1),
+    "steiner_report": lambda c, v: pv.steiner_report(c, 0.1),
+    **{f"offset_length-{variant}": lambda c, v, variant=variant: pv.offset_length(c, 0.1, variant)
+       for variant in ("segment", "arc", "wedge")},
+    **{f"offset_polygon-{variant}": lambda c, v, variant=variant: pv.offset_polygon(c, 0.1, variant)
+       for variant in ("segment", "wedge")},
+    "ql_form": lambda c, v: pv.ql_form(c, v),
+    "qv_form": lambda c, v: pv.qv_form(c, v),
+    "second_variation": lambda c, v: pv.second_variation(c, -1.0, v),
+    "first_variation-volume": lambda c, v: pv.first_variation(c, v, "volume"),
+    "first_variation-length_plus_kappa_vol": lambda c, v: pv.first_variation(c, v, "length_plus_kappa_vol", -1.0),
+    "project_volume_preserving": lambda c, v: pv.project_volume_preserving(c, v),
+    "run_flow": lambda c, v: pv.run_flow(c),
+    "flow_step": lambda c, v: pv.flow_step(c, pv.FlowConfig()),
+}
+
+
+@pytest.mark.parametrize("name", list(NEEDS_CLOSED))
+def test_closed_curve_functions_reject_open_curve(name):
+    curve = make_curve([(0, 0), (1, 0), (1, 1), (0, 1.2)], closed=False)
+    field = np.zeros((4, 2))
+    field[1:3] = (0.3, -0.2)  # vanishes at the two ends, as a field of an open curve must
+    with pytest.raises(OpenCurve, match="requires a closed curve"):
+        NEEDS_CLOSED[name](curve, field)
 
 
 def test_enclosed_volume_matches_shoelace(rng):

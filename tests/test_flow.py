@@ -24,9 +24,8 @@ from polyvar import (
     turning_angles,
     volume_gradients,
 )
-from polyvar.curves import _signed_area
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
-from polyvar.flow import _along_blocks, _along_chords, _scaled, _step
+from polyvar.flow import _along_blocks, _along_chords, _start, _step
 from polyvar.variation import _along_volume_gradient, _regular_hessian_blocks, _regular_hessian_spectrum
 
 from helpers import random_star_polygon
@@ -88,7 +87,7 @@ def test_flow_step_fixed_at_equilibrium(sq, pent52):
 
 def test_flow_step_rectangle_descends():
     rect = make_curve([(0, 0), (2, 0), (2, 1), (0, 1)])
-    new_curve, diag = flow_step(rect, FlowConfig(step_size=0.01), target_volume=2.0)
+    new_curve, diag = flow_step(rect, FlowConfig(step_size=0.01))
     assert total_length(new_curve) < total_length(rect)
     assert enclosed_volume(new_curve) == pytest.approx(2.0, abs=1e-10)
 
@@ -249,9 +248,10 @@ def test_lagrange_kappa_on_regular_polygons():
         assert lagrange_kappa(poly) == pytest.approx(-1 / (a * np.cos(m * np.pi / n)), rel=1e-12)
 
 
-def test_flow_rejects_open_curve():
-    with pytest.raises(OpenCurve):
-        run_flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
+@pytest.mark.parametrize("flow", [run_flow, flow_step])
+def test_flow_rejects_open_curve(flow):
+    with pytest.raises(OpenCurve, match="the constrained flow requires a closed curve"):
+        flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
 
 
 def _perturbed_octagon(i, sigma=-1):
@@ -273,9 +273,8 @@ def test_plain_flow_step_counts_pinned():
     counts = []
     for i in range(5):
         curve = _perturbed_octagon(i)
-        target = enclosed_volume(curve)
         for step in range(1000):
-            curve, diag = flow_step(curve, config, target_volume=target)
+            curve, diag = flow_step(curve, config)
             if diag["step_size_used"] is None:
                 break
         assert diag["max_projected_gradient"] < config.grad_tolerance
@@ -290,8 +289,7 @@ def test_flow_step_momentum_state():
     rng = np.random.default_rng([1, 16, 3])
     curve = make_curve(regular_polygon(16).points + 1.0 * rng.standard_normal((16, 2)) / 16)
     config = FlowConfig(step_size=0.2)
-    _, x, edges, lengths, cap, diameter = _scaled(curve, config.step_size)  # one scale for all steps
-    target = _signed_area(x, curve.sigma)
+    _, x, edges, lengths, target, cap, diameter = _start(curve, config.step_size)  # one scale for all steps
     args = (curve.sigma, target, cap, config.grad_tolerance, diameter)
     momentum, kinds = {}, []
     for _ in range(10):

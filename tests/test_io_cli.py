@@ -169,10 +169,16 @@ def test_cli_unreadable_file_exits_2(tmp_path):
     assert run_cli("analyze", "--in", str(tmp_path / "absent.json"), "--stdout") == 2
 
 
-def test_cli_bad_json_exits_2(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("{]", "polyvar: error: "),
+    ("[1, 2]", "polyvar: error: curve file must be a JSON object\n"),
+], ids=["not-json", "not-an-object"])
+def test_cli_bad_json_exits_2(text, message, tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{]")
+    path.write_text(text)
     assert run_cli("analyze", "--in", str(path), "--stdout") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_cli_wedge_on_cusp_curve_exits_3(tmp_path):
@@ -236,8 +242,10 @@ def test_cli_exit_code_of_each_error_class(name, code, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("polyvar: error: ")
 
 
-# a number outside its domain exits 2 with one error line that names it
+# a number or a name outside its domain exits 2 with one error line that names it
 @pytest.mark.parametrize("command, name", [
+    (("analyze", "--scheme", "foo"),
+     "unknown scheme 'foo'; choose from vertex_osculating, arclength, hatakeyama, half_edge_sum"),
     (("flow", "--max-steps", "-1"), "max_steps"),
     (("flow", "--tol", "nan"), "grad_tolerance"),
     (("analyze", "--tol", "-1"), "tolerance"),
@@ -246,7 +254,7 @@ def test_cli_exit_code_of_each_error_class(name, code, monkeypatch, capsys):
     (("offset", "--t", "nan"), "distance t"),
     (("stability", "--n", "5", "--m", "2", "--a", "-1"), "radius a"),
     (("stability", "--n", "5", "--m", "2", "--a", "0"), "radius a"),
-], ids=["flow-max-steps", "flow-tol", "analyze-tol-negative", "analyze-tol-inf", "analyze-kappa-nan", "offset-t",
+], ids=["analyze-scheme", "flow-max-steps", "flow-tol", "analyze-tol-negative", "analyze-tol-inf", "analyze-kappa-nan", "offset-t",
         "stability-a-negative", "stability-a-zero"])
 def test_cli_rejects_number_out_of_domain(command, name, tmp_path, capsys):
     path = tmp_path / "sq.json"
@@ -439,6 +447,20 @@ def test_cli_offset_flags_corner_overlap(variant, t, statuses, tmp_path, capsys)
         f"t={float(row[0]):g}: corner 0 turns toward the offset; the {variant} length formula does not hold\n"
         for row in overlaps
     )
+
+
+@pytest.mark.parametrize("variant, code", [("wedge", 2), ("segment", 3)])
+def test_cli_offset_beyond_the_float_range_prints_one_line(variant, code, tmp_path, capsys):
+    # t kappa(e_k) and the offset points overflow: wedge's points are not finite, segment's picture has no box
+    curve_path = str(tmp_path / "sq.json")
+    run_cli("generate", "--n", "4", "--out", curve_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning that reaches the CLI fails the call
+        assert run_cli("offset", "--in", curve_path, "--t", "1.5e308", "--variant", variant,
+                       "--out", str(tmp_path / "off")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("polyvar: error:") and err.count("\n") == 1
 
 
 def test_cli_offset_arc_lengths_only(tmp_path):

@@ -254,6 +254,8 @@ def test_corner_rule_covers_segment_and_arc_joins():
 def test_offset_length_unknown_variant(sq):
     with pytest.raises(ValueError):
         offset_length(sq, 0.1, "bevel")
+    with pytest.raises(ValueError, match="unknown offset variant 'bogus'"):
+        offset_polygon(sq, 0.1, "bogus")
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

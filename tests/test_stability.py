@@ -252,7 +252,7 @@ def test_neutral_modes_on_every_regular_polygon():
         for m in range(1, n):
             if 2 * m == n:
                 continue
-            for a in (1.0, *FAR_RADII):
+            for a in (1.0, *FAR_RADII, 2e307, 3e307, 1e308):  # Q^L alone overflows from about 3e307 at n = 6
                 poly = regular_polygon(n, m, a)
                 kappa = regular_polygon_kappa(n, m, a)
                 for shift in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -272,6 +272,21 @@ def test_second_variation_regular_constant_eta_is_neutral():
 def test_second_variation_regular_invalid_winding():
     with pytest.raises(InvalidWinding):
         second_variation_regular(6, 3, 1.0, np.zeros(6))
+
+
+def test_second_variation_regular_rejects_field_shape():
+    with pytest.raises(ValueError, match=r"psi must have shape \(5,\)"):
+        second_variation_regular(5, 2, 1.0, np.zeros(4))
+    with pytest.raises(ValueError, match=r"eta must have shape \(5,\)"):
+        second_variation_regular(5, 2, 1.0, np.zeros(5), np.zeros(4))
+
+
+def test_regular_closed_forms_below_the_float_range():
+    # 1 / l_0 and kappa are beyond the float range at a = 1e-310: inf, and no warning
+    a = 1e-310
+    assert regular_polygon_kappa(6, 1, a) == -np.inf
+    assert second_variation_regular(6, 1, a, harmonic_field(6, 2)) == np.inf
+    assert certificate_coefficient(6, 1, a) == np.inf
 
 
 @pytest.mark.parametrize("a", [-1.0, 0.0, np.nan, np.inf])

@@ -18,9 +18,8 @@ from polyvar import (
 )
 from polyvar import variation
 from polyvar.errors import InternalInconsistency, KappaZero, OpenCurve
-from polyvar.flow import project_volume_preserving
 from polyvar.stability import regular_polygon_kappa, second_variation
-from polyvar.variation import _residual_conditioning
+from polyvar.variation import _residual_conditioning, project_volume_preserving
 
 from helpers import brute_length, central_gradient, oracle_volume, random_star_polygon
 
@@ -125,6 +124,11 @@ def test_first_variation_directional_fd(rng):
     assert first_variation(curve, v, "volume") == pytest.approx(fd_vol, abs=1e-7)
     combo = first_variation(curve, v, "length_plus_kappa_vol", kappa=-2.5)
     assert combo == pytest.approx(fd - 2.5 * fd_vol, abs=1e-6)
+
+
+def test_first_variation_unknown_functional(sq):
+    with pytest.raises(ValueError, match="unknown functional 'area'"):
+        first_variation(sq, np.zeros((4, 2)), "area")
 
 
 def test_first_variation_open_boundary_enforced():
