@@ -248,10 +248,14 @@ def test_lagrange_kappa_on_regular_polygons():
         assert lagrange_kappa(poly) == pytest.approx(-1 / (a * np.cos(m * np.pi / n)), rel=1e-12)
 
 
-@pytest.mark.parametrize("flow", [run_flow, flow_step])
-def test_flow_rejects_open_curve(flow):
+def test_flow_rejects_open_curve():
     with pytest.raises(OpenCurve, match="the constrained flow requires a closed curve"):
-        flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
+        run_flow(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
+
+
+def test_flow_step_rejects_open_curve():
+    with pytest.raises(OpenCurve, match="the constrained flow requires a closed curve"):
+        flow_step(make_curve([(0, 0), (1, 0), (1, 1)], closed=False), FlowConfig())
 
 
 def _perturbed_octagon(i, sigma=-1):
