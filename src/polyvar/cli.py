@@ -15,6 +15,7 @@ subcommand's arguments, so a call loads only the modules its subcommand needs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -90,6 +91,8 @@ def cmd_offset(args) -> dict[str, str]:
             print(f"t={t:g}: {exc}", file=sys.stderr)
             continue
         if args.variant == "arc":
+            if not math.isfinite(predicted):  # an ok row with an empty length would be a silent non-answer
+                raise ValueError(f"t={t:g}: the arc length {predicted} is beyond the float range")
             rows.append((t, predicted, None, None, "ok"))
             continue
         try:

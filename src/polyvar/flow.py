@@ -47,7 +47,7 @@ schemes", 2015): each step first tries x + k/(k+3) (x - x_prev) - h d with
 the step size h the plain step last accepted, under the same area homothety
 and the same length test; when that trial fails, k restarts at 0 and the
 step is the plain one.  Near a regular polygon (the block inverse's cap
-above the chord scaling's, i.e. delta < sin^2(pi / n)) with step_size not
+above the chord scaling's, i.e. delta < sin(pi / n)) with step_size not
 clipping the Newton step, the plain Newton step is exact and momentum would
 overshoot it: the step skips the momentum trial and restarts k.  So the
 length falls at every step and the area is restored exactly.
@@ -204,7 +204,7 @@ def _along_blocks(
     Its eigenvalues are floored at lambda_max / cap,
     cap = max(csc^2(pi / n), 1 / delta^2) rounded to a power of two,
     delta = (max l - min l) / mean l + (max theta - min theta); near says
-    that the cap is above csc^2(pi / n), i.e. delta < sin^2(pi / n), where P
+    that the cap is above csc^2(pi / n), i.e. delta < sin(pi / n), where P
     is close enough to the exact inverse for the Newton step.  None where
     the curve has a cusp, a non-integer turning or a zero u_k, where no
     regular polygon has its winding, or where <u, P u> is not positive.
@@ -219,7 +219,7 @@ def _along_blocks(
         return None
     delta = (lengths.max() - lengths.min()) * n / lengths.sum() + (theta.max() - theta.min())
     cap_exp = chord_exp = round(-2 * math.log2(math.sin(math.pi / n)))
-    if 0 < delta < 1:  # delta = 1 / cap; a NaN or infinite delta keeps csc^2(pi / n)
+    if 0 < delta < 1:  # cap = 1 / delta^2; a NaN or infinite delta keeps csc^2(pi / n)
         cap_exp = min(max(cap_exp, round(-2 * math.log2(delta))), MAX_CAP_EXP)
     elif delta == 0:
         cap_exp = MAX_CAP_EXP

@@ -1,7 +1,10 @@
 """Second-variation quadratic forms and spectral stability of regular polygons.
 
 At an equilibrium of ``L + kappa * Vol`` the second variation along an affine
-deformation ``p + t v`` is the quadratic form ``Q^L + kappa Q^V``.  Writing
+deformation ``p + t v`` is the quadratic form ``Q^L + kappa Q^V``, each the
+Hessian of its own functional in closed form: ``Q^L = sum (Delta v_k . nu_k)^2
+/ l_k``, since edge k's length has the rank-one Hessian ``nu_k nu_k^T / l_k``,
+and ``Q^V = 2 Vol(v)``, since Vol is quadratic.  Writing
 ``v_k = psi_k N_k + eta_k T_k`` on a regular polygon reduces the normal part
 to the circulant form ``<H psi, psi> / l_0`` with first row
 ``(2, -alpha, 0, ..., 0, -alpha)``, ``alpha = 1 + 2 tan^2(m pi / n)``, whose
@@ -18,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_edges, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp, rot90
-from .curves import _unscaled
+from .curves import DiscreteCurve, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp
+from .curves import _edge_vectors, _signed_area, _unscaled
 from .errors import MeanNotZero, NotEquilibrium
 from .variation import _check_field, _times_kappa, classify_equilibrium
 
@@ -38,7 +41,7 @@ def _field_scale(values):
 
 
 def qv_form(curve: DiscreteCurve, field) -> float:
-    """Volume Hessian form sum <v_k, R v_{k+1}>; exact for the quadratic Vol.
+    """Volume Hessian form Q^V = 2 Vol(v) = sum <v_k, R v_{k+1}>, exact since Vol is quadratic.
 
     inf, with no warning, only where the form is beyond the float range.
     """
@@ -46,18 +49,14 @@ def qv_form(curve: DiscreteCurve, field) -> float:
 
 
 def _scaled_qv_form(curve: DiscreteCurve, field) -> tuple[float, int]:
-    """(qv_form 2^-2f, 2f): the form on the field 2^-f at its own power of two f."""
+    """(qv_form 2^-2f, 2f): twice the signed area of the field 2^-f at its own power of two f."""
     _require_closed(curve, "the volume form")
     w, f = _field_scale(_check_field(curve, field))
-    w, w_next = _at_edges(curve.closed, w)
-    return float(np.sum(w * rot90(w_next, curve.sigma))), 2 * f
+    return 2.0 * _signed_area(w, curve.sigma), 2 * f
 
 
 def ql_form(curve: DiscreteCurve, field) -> float:
-    """Length Hessian form sum (|grad v_k|^2 - <grad v_k, R nu_k>^2) l_k >= 0.
-
-    R nu_k = -t_k, so the projection is taken on the unit tangent.
-    """
+    """Length Hessian form Q^L = sum (Delta v_k . nu_k)^2 / l_k >= 0, Delta v_k = v_{k+1} - v_k."""
     return float(_unscaled(*_scaled_ql_form(curve, field)))
 
 
@@ -70,12 +69,9 @@ def _scaled_ql_form(curve: DiscreteCurve, field) -> tuple[float, int]:
     """
     _require_closed(curve, "the length form")
     w, g = _field_scale(_check_field(curve, field))
-    w, w_next = _at_edges(curve.closed, w)
-    dv, h = _field_scale(w_next - w)  # the differences 2^-f, f = g + h
-    l = curve._scaled[2]
-    grad = _by_rows(np.divide, dv, l)
-    proj = _dot(grad, curve.tangents)
-    return float(np.sum((_dot(grad, grad) - proj * proj) * l)), 2 * (g + h) - curve._scale[1]
+    dv, h = _field_scale(_edge_vectors(w, True))  # the differences 2^-f, f = g + h
+    normal = _dot(dv, curve.edge_normals)
+    return float(np.sum(normal * normal / curve._scaled[2])), 2 * (g + h) - curve._scale[1]
 
 
 def second_variation(curve: DiscreteCurve, kappa: float, field, tol: float = 1e-8) -> float:

@@ -455,9 +455,10 @@ def test_cli_offset_flags_corner_overlap(variant, t, statuses, tmp_path, capsys)
     )
 
 
-@pytest.mark.parametrize("variant, code", [("wedge", 2), ("segment", 3)])
+@pytest.mark.parametrize("variant, code", [("arc", 2), ("wedge", 2), ("segment", 3)])
 def test_cli_offset_beyond_the_float_range_prints_one_line(variant, code, tmp_path, capsys):
-    # t kappa(e_k) and the offset points overflow: wedge's points are not finite, segment's picture has no box
+    # t kappa(e_k) and the offset points overflow: wedge's points are not finite, segment's picture has no box,
+    # arc's length is beyond the float range
     curve_path = str(tmp_path / "sq.json")
     run_cli("generate", "--n", "4", "--out", curve_path)
     capsys.readouterr()

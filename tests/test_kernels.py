@@ -180,10 +180,9 @@ def test_weighted_vertex_normals(curve):
 @on(CLOSED)
 def test_ql_form(curve):
     v = _field(curve)
-    grad = (np.roll(v, -1, axis=0) - v) / curve.edge_lengths[:, None]
-    proj = grad[:, 0] * curve.tangents[:, 0] + grad[:, 1] * curve.tangents[:, 1]
-    sq = grad[:, 0] * grad[:, 0] + grad[:, 1] * grad[:, 1]
-    assert ql_form(curve, v).hex() == float(np.sum((sq - proj * proj) * curve.edge_lengths)).hex()
+    dv = np.roll(v, -1, axis=0) - v
+    normal = dv[:, 0] * curve.edge_normals[:, 0] + dv[:, 1] * curve.edge_normals[:, 1]
+    assert ql_form(curve, v).hex() == float(np.sum(normal * normal / curve.edge_lengths)).hex()
 
 
 @on(CLOSED_CUSP_FREE)

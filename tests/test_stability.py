@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyvar import (
     DiscreteCurve,
@@ -10,6 +13,7 @@ from polyvar import (
     instability_certificate,
     jacobi_matrix,
     jacobi_spectrum,
+    lagrange_kappa,
     make_curve,
     morse_index,
     ql_form,
@@ -19,10 +23,12 @@ from polyvar import (
     rot90,
     second_variation,
     second_variation_regular,
+    total_length,
     wirtinger_gap,
 )
 from polyvar.errors import InvalidWinding, MeanNotZero, NotEquilibrium, OpenCurve
 from polyvar.stability import certificate_coefficient, regular_polygon_kappa
+from polyvar.variation import _regular_hessian_spectrum
 
 from helpers import (
     brute_length,
@@ -37,6 +43,18 @@ KAPPA_SQ = -SQRT2
 KAPPA_PENT = -1 / np.cos(2 * np.pi / 5)
 # radii where kappa^2, the volume form of a field that grows with the polygon or 1 / l_0 leave the float range
 FAR_RADII = (1e-300, 1e-160, 1e160, 1e200, 1e300)
+EPS = np.finfo(float).eps
+
+
+def _perturbed(n: int, sigma: int, seed: int) -> DiscreteCurve:
+    """The regular n-gon of radius 1 with every vertex moved by 0.05 N(0, 1) / n."""
+    noise = 0.05 * np.random.default_rng(seed).standard_normal((n, 2)) / n
+    return make_curve(regular_polygon(n, sigma=sigma).points + noise, sigma=sigma)
+
+
+perturbed_polygons = st.builds(
+    _perturbed, st.integers(3, 64), st.sampled_from([-1, 1]), st.integers(0, 2**32 - 1)
+)
 
 
 # ------------------------------------------------------------- quadratic forms
@@ -75,7 +93,58 @@ def test_ql_form_matches_length_second_derivative(rng):
 def test_ql_form_nonnegative(rng):
     for _ in range(50):
         curve = random_star_polygon(rng, int(rng.integers(4, 14)))
-        assert ql_form(curve, rng.normal(size=(curve.n, 2))) >= -1e-12
+        assert ql_form(curve, rng.normal(size=(curve.n, 2))) >= 0.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(perturbed_polygons, st.floats(1e-6, 1e6))
+def test_ql_form_vanishes_on_the_homothety(curve, a):
+    # L is 1-homogeneous, so Q^L(a p) = 0.  a p_k rounds by up to eps a R in
+    # each coordinate (R ~ L / 2 pi the radius), so each edge's normal part is
+    # off by up to sqrt2 eps a R and each of the n terms by 2 (eps a R)^2 / l_k
+    # with l_k >= L / 2n: at most 4 n^2 eps^2 a^2 R^2 / L ~ 0.1 n^2 eps^2 a^2 L,
+    # so K = n^2 / 4.
+    value = ql_form(curve, a * curve.points)
+    assert 0.0 <= value <= 0.25 * curve.n**2 * EPS**2 * a**2 * total_length(curve)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    perturbed_polygons,
+    st.floats(1.0, 10.0),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(-8.0, -1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_qv_form_ignores_a_translation(curve, size, angle, log_size, seed):
+    # Q^V(b + delta) = Q^V(delta) for |delta| < |b|: each of the n cross terms
+    # of b with an edge of the field rounds by about eps max|b| max|delta|.
+    b = size * np.array([np.cos(angle), np.sin(angle)])
+    w = b + 10.0**log_size * np.random.default_rng(seed).standard_normal((curve.n, 2))
+    gap = abs(qv_form(curve, w) - qv_form(curve, w - b))
+    assert gap <= curve.n * EPS * np.max(np.abs(b)) * np.max(np.abs(w - b))
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+@pytest.mark.parametrize("n, m", [(5, 2), (7, 3), (8, 1), (9, 2), (16, 1), (16, 3)])
+def test_forms_hessian_is_the_regular_closed_form(n, m, sigma):
+    # The Hessian of L + kappa Vol, polarised from the two forms on the unit
+    # fields, has the spectrum of the flow's and the classifier's closed form
+    # to round-off: about 0.6 n eps max|lambda| at most on these polygons.
+    poly = regular_polygon(n, m, 1.0, sigma=sigma)
+    kappa = lagrange_kappa(poly)
+    unit = np.eye(2 * n).reshape(2 * n, n, 2)
+
+    def form(v):
+        return ql_form(poly, v) + kappa * qv_form(poly, v)
+
+    H = np.diag([form(u) for u in unit])
+    for i, j in combinations(range(2 * n), 2):
+        H[i, j] = H[j, i] = 0.5 * (form(unit[i] + unit[j]) - H[i, i] - H[j, j])
+    low, high = _regular_hessian_spectrum(n, m)[3:]
+    expected = np.sort(np.concatenate([low, high]))
+    gap = np.max(np.abs(np.linalg.eigvalsh(H) - expected))
+    assert gap <= 4 * n * EPS * np.max(np.abs(expected))
 
 
 def test_forms_validate_the_field(sq):
