@@ -11,7 +11,8 @@ classical notions:
   half_edge_sum      L_k = (l_k + l_{k-1}) / 2
 
 A custom scheme is any array of positive per-vertex values; a named one is
-taken at the curve's power of two (see curves).  Vectorized functions mark
+taken at the curve's power of two (see curves), and a function psi on the
+vertices at its own (_scaled_gradient).  Vectorized functions mark
 pointwise-inapplicable vertices (cusps) with NaN; scalar accessors raise.
 """
 
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import DiscreteCurve, _at_cusp_free_edges, _at_edges, _at_vertices, _by_rows, _norms, _unscaled, _value_at
+from .curves import DiscreteCurve, _at_cusp_free_edges, _at_edges, _at_vertices, _by_rows, _field_scale, _norms
+from .curves import _unscaled, _value_at
 from .errors import CuspAdjacent, SchemeInapplicable
 from .variation import length_gradients
 
@@ -59,8 +61,7 @@ def _line_elements(curve: DiscreteCurve, scheme):
         return 0.5 * (l_prev + l_next), curve._scale[1]
 
     if scheme == "vertex_osculating":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = _norms(curve._scaled_chords) / (2.0 * curve._half_angles[1])
+        out = _norms(curve._scaled_chords) / (2.0 * curve._half_angles[1])  # cos(theta_k / 2) > 0 on (-pi, pi]
     elif scheme == "arclength":
         l = curve._scaled[2]
         l_mean = l.mean()
@@ -131,29 +132,39 @@ def edge_curvature(curve: DiscreteCurve, k: int) -> float:
 
 
 def discrete_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
-    """Edge-based gradient (psi_{k+1} - psi_k) / l_k, taken at the curve's power of two."""
-    return _unscaled(_scaled_gradient(curve, psi), -curve._scale[1])
+    """Edge-based gradient (psi_{k+1} - psi_k) / l_k, taken as _scaled_gradient's pair and scaled back once."""
+    return _unscaled(*_scaled_gradient(curve, psi))
 
 
-def _scaled_gradient(curve: DiscreteCurve, psi) -> np.ndarray:
-    """(psi_{k+1} - psi_k) / (l_k 2^-e), the gradient times 2^e."""
-    psi, psi_next = _at_edges(curve.closed, np.asarray(psi, dtype=float))
-    return (psi_next - psi) / curve._scaled[2]
+def _scaled_gradient(curve: DiscreteCurve, psi):
+    """(grad psi 2^-f, f): psi's differences at their own power of two over the lengths 2^-e at the curve's e.
+
+    The differences are formed on psi at its own power of two g, so that
+    they cannot overflow, and taken at theirs, h, both by
+    curves._field_scale, as stability's forms take a field's: f = g + h - e.
+    """
+    w, g = _field_scale(np.asarray(psi, dtype=float))
+    w, w_next = _at_edges(curve.closed, w)
+    dpsi, h = _field_scale(w_next - w)
+    return dpsi / curve._scaled[2], g + h - curve._scale[1]
 
 
 def discrete_laplacian(curve: DiscreteCurve, scheme, psi) -> np.ndarray:
     """Vertex-based Laplacian (grad psi_k - grad psi_{k-1}) / L_k.
 
-    NaN at the boundary vertices of an open curve.  The gradient and a named
-    line element are taken at the curve's power of two e (see
-    _line_elements), and the quotient scaled back.
+    NaN at the boundary vertices of an open curve.  The gradient is
+    _scaled_gradient's pair, and the line elements are taken at their own
+    power of two h (curves._field_scale) after _line_elements; the quotient
+    is scaled back once.
     """
-    g_prev, g = _at_vertices(curve.closed, _scaled_gradient(curve, psi))
+    grad, f = _scaled_gradient(curve, psi)
+    g_prev, g = _at_vertices(curve.closed, grad)
     values, e = _line_elements(curve, scheme)
-    return _unscaled((g - g_prev) / values, -curve._scale[1] - e)
+    values, h = _field_scale(values)
+    return _unscaled((g - g_prev) / values, f - e - h)
 
 
 def dirichlet_energy(curve: DiscreteCurve, psi) -> float:
-    """(1/2) sum |grad psi_k|^2 l_k over the edges, taken at the curve's power of two e and scaled back by 2^-e."""
-    g = _scaled_gradient(curve, psi)
-    return float(_unscaled(0.5 * np.sum(g * g * curve._scaled[2]), -curve._scale[1]))
+    """(1/2) sum |grad psi_k|^2 l_k over the edges, on _scaled_gradient's pair and the lengths 2^-e, scaled back once."""
+    grad, f = _scaled_gradient(curve, psi)
+    return float(_unscaled(0.5 * np.sum(grad * grad * curve._scaled[2]), 2 * f + curve._scale[1]))

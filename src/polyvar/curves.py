@@ -45,10 +45,10 @@ One rule for every reader: it computes on these scaled arrays (_scaled,
 _scaled_chords, _scale) and converts its result back once through _unscaled
 (times 2^e per unit of length, inf on overflow).  An operand that is not the
 curve's is taken at its own power of two too, and the result scaled back by
-both: kappa = k 2^g only in variation._times_kappa, and a field or its
-differences only in stability._field_scale.  With _scale_of, which takes
-an offset's points too, they are the only places that split a number into
-its mantissa and power of two.  diameter(), total_length and
+both: kappa = k 2^g only in variation._times_kappa, and a field, a function
+psi on the vertices or their differences only in _field_scale.  With
+_scale_of, which takes an offset's points too, they are the only places
+that split a number into its mantissa and power of two.  diameter(), total_length and
 the * arrays are such results; only readers that return values in the
 caller's units, such as volume_gradients, parallel_curve and the points of
 the segment offset, read them.
@@ -215,8 +215,7 @@ class DiscreteCurve:
     @cached_property
     def _snapped_angles(self):
         """(theta, cusp mask, 1 + cos theta), theta already snapped to pi at cusps."""
-        with np.errstate(invalid="ignore"):  # NaN where an open curve ends
-            return tuple(map(_frozen, _turning_angles(self.tangents, self.sigma, self.closed)))
+        return tuple(map(_frozen, _turning_angles(self.tangents, self.sigma, self.closed)))
 
     @property
     def cusp_mask(self) -> np.ndarray:
@@ -298,6 +297,18 @@ def _at_scale(points: np.ndarray, closed: bool, e: int) -> tuple[np.ndarray, np.
 def _unscaled(values, e: int):
     with np.errstate(over="ignore"):  # values 2^e, inf where that overflows, with no warning
         return np.ldexp(values, e)
+
+
+def _field_scale(values):
+    """(values 2^-f, f), f the power of two of max |values|: 2^f > max |values| >= 2^(f-1), f = 0 where it is 0.
+
+    A field, a function psi on the vertices, their differences, a line
+    element or a length of the closed form is taken at its own power of two,
+    as a curve's points are at the curve's (_scale_of).  NaN entries, such as
+    an open curve's ends, do not count towards the maximum.
+    """
+    f = math.frexp(float(np.fmax.reduce(np.abs(values), axis=None, initial=0.0)))[1]
+    return _unscaled(values, -f), f
 
 
 def _edge_vectors(points: np.ndarray, closed: bool) -> np.ndarray:

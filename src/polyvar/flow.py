@@ -10,19 +10,17 @@ variation's (project_volume_preserving, lagrange_kappa).
 The step direction is d = P (g - lam u): g the projected gradient, u the area
 gradient, lam the multiplier that makes <u, d> = 0 (so d preserves the area
 to first order), and P the inverse of the second variation of the regular
-polygon the curve's winding names.  At the regular (n, m) polygon the
-Hessian of L + kappa Vol is circulant in each vertex's (area-gradient,
-chord) frame, one closed-form 2 x 2 Hermitian block H_j per harmonic j
-(variation._regular_hessian_blocks), and P = lambda_max |H_j|^-1 per
-harmonic, lambda_max the largest |eigenvalue| of the blocks: one FFT of
-the frame components of g and u, a 2 x 2 product per harmonic, one inverse
-FFT.  There every
-eigenvalue of P times the Hessian is +-lambda_max but on the three rigid
-motions, which P leaves at 0; so the flow is Newton-like next to every
-regular polygon, and the stiffest mode, hence the Newton step below, keeps
-its size.  |H_j|, not H_j, as in saddle-free Newton (Dauphin et al.,
-2014): P is positive, so <g, d> > 0 wherever Pg is not a multiple of Pu,
-and the flow leaves the unstable stars along their negative modes.
+polygon the curve's winding names: P = lambda_max |H_j|^-1 per harmonic j,
+for the closed-form 2 x 2 blocks H_j of variation._regular_hessian_spectrum
+(in each vertex's area-gradient, chord frame), lambda_max their largest
+|eigenvalue|, and 0 on the three rigid motions that function marks: one FFT
+of the frame components of g and u, a 2 x 2 product per harmonic, one
+inverse FFT.  There every eigenvalue of P times the Hessian is +-lambda_max
+but on the rigid motions; so the flow is Newton-like next to every regular
+polygon, and the stiffest mode, hence the Newton step below, keeps its
+size.  |H_j|, not H_j, as in saddle-free Newton (Dauphin et al., 2014): P
+is positive, so <g, d> > 0 wherever Pg is not a multiple of Pu, and the
+flow leaves the unstable stars along their negative modes.
 
 The winding is w = sigma turning_number(curve), m = |w|; the off-diagonal
 of H_j changes sign with w.  Far from the regular polygon, each |eigenvalue|
@@ -167,24 +165,21 @@ def _block_inverse(n: int, w: int, cap_exp: int):
 
     a and c are the components along each vertex's area gradient and chord,
     Z = fft(z), and conj(Z_{-j}) = conj(Z[reversal]); alpha and beta carry
-    the 1 / n of the inverse transform.  P_j = lambda_max
-    |H_j|^-1 for the blocks H_j = [[r, i b], [-i b, t]] of
-    _regular_hessian_spectrum at m = |w|, with b negated where the winding w
-    is negative, and lambda_max their largest |eigenvalue|: each eigenvalue
-    mu gets the weight lambda_max / max(|mu|, lambda_max 2^-cap_exp), and
-    the three rigid motions, the eigenvalue nearer zero at j = 0, m and
-    n - m, get 0.  With weights w_low, w_high and mean, radius as there,
-    P_j = (w_high + w_low) / 2 I + s (H_j - mean I), s = (w_high - w_low) / (2 radius),
-    so alpha = (w_high + w_low) / 2 + s b and beta = s (r - t) / 2.
+    the 1 / n of the inverse transform.  P_j = lambda_max |H_j|^-1 for the
+    blocks H_j = [[r, i b], [-i b, t]] of _regular_hessian_spectrum at
+    m = |w|, with b negated where the winding w is negative: each eigenvalue
+    mu gets the weight lambda_max / max(|mu|, lambda_max 2^-cap_exp), and its
+    rigid motions 0.  With w_low, w_high the weights and mean, radius as
+    there, P_j = (w_high + w_low) / 2 I + s (H_j - mean I),
+    s = (w_high - w_low) / (2 radius), so alpha = (w_high + w_low) / 2 + s b
+    and beta = s (r - t) / 2.
     """
-    m = abs(w)
-    r, t, b, low, high = _regular_hessian_spectrum(n, m)
-    size = np.abs(np.stack([low, high]))
+    r, t, b, radius, eigenvalues, rigid = _regular_hessian_spectrum(n, abs(w))
+    size = np.abs(eigenvalues)
     stiffest = size.max()
     weights = stiffest / np.maximum(size, math.ldexp(stiffest, -cap_exp))
-    for j in (0, m, n - m):
-        weights[size[:, j].argmin(), j] = 0.0
-    slope = 0.5 * (weights[1] - weights[0]) / np.hypot(0.5 * (r - t), b)
+    weights[rigid] = 0.0
+    slope = 0.5 * (weights[1] - weights[0]) / radius
     alpha = 0.5 * (weights[1] + weights[0]) + math.copysign(1.0, w) * slope * b
     return alpha / n, slope * 0.5 * (r - t) / n, -np.arange(n) % n
 
@@ -198,9 +193,9 @@ def _along_blocks(
     angles and cusp mask, as curves._turning_angles gives them.
 
     P acts per harmonic on the components along n_k = u_k / |u_k| and
-    c_k = rot90(n_k, +1), the frames in which _regular_hessian_blocks are
-    written at the winding w = sigma turning_number (with b negated
-    where w < 0); as complex numbers, g_k . n_k + i g_k . c_k = g_k conj(n_k).
+    c_k = rot90(n_k, +1), the frame of _block_inverse's blocks at the winding
+    w = sigma turning_number; as complex numbers,
+    g_k . n_k + i g_k . c_k = g_k conj(n_k).
     Its eigenvalues are floored at lambda_max / cap,
     cap = max(csc^2(pi / n), 1 / delta^2) rounded to a power of two,
     delta = (max l - min l) / mean l + (max theta - min theta); near says

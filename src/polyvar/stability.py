@@ -15,29 +15,18 @@ modes, certified by the lowest nonconstant harmonic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .curves import DiscreteCurve, _by_rows, _check_regular, _dot, _require_closed, _require_no_cusp
-from .curves import _edge_vectors, _signed_area, _unscaled
+from .curves import _edge_vectors, _field_scale, _signed_area, _unscaled
 from .errors import MeanNotZero, NotEquilibrium
 from .variation import _check_field, _times_kappa, classify_equilibrium
 
 # |sum psi_k| above this (times n * max|psi|) fails the zero-mean precondition.
 MEAN_TOL = 1e-10
-
-
-def _field_scale(values):
-    """(values 2^-f, f), f the power of two of max |values|: 2^f > max |values| >= 2^(f-1), f = 0 where it is 0.
-
-    A field, its differences or a length of the closed form is taken at its
-    own power of two, as a curve's points are at the curve's (curves._scale_of).
-    """
-    f = math.frexp(float(np.abs(values).max()))[1]
-    return _unscaled(values, -f), f
 
 
 def qv_form(curve: DiscreteCurve, field) -> float:

@@ -170,40 +170,38 @@ def conservation_vectors(curve: DiscreteCurve, kappa: float) -> np.ndarray:
     return curve.edge_normals + _unscaled(*_times_kappa(kappa, 0.5 * (x_next + x), curve._scale[1]))
 
 
-def _regular_hessian_blocks(n: int, m: int):
-    """(r, t, b) per harmonic j = 0 .. n-1 of the Hessian of L + kappa Vol at the regular (n, m) polygon of radius 1.
-
-    In each vertex's (radial, tangential) frame the Hessian is circulant; at
-    phase theta = 2 pi j / n, with s = sin(pi m / n) and c = cos(pi m / n),
-    its 2 x 2 Hermitian block is [[r, i b], [-i b, t]] with
-    r = 2 c^2 sin^2(theta/2) / s - 2 s cos(theta), t = 2 s sin^2(theta/2)
-    and b = s^2 sin(theta) / c.  The three rigid motions (j = 0 and j = +-m)
-    are its only null modes.
-    """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    s, c = np.sin(np.pi * m / n), np.cos(np.pi * m / n)
-    half_sq = np.sin(0.5 * theta) ** 2
-    diag_r = 2.0 * c * c * half_sq / s - 2.0 * s * np.cos(theta)
-    diag_t = 2.0 * s * half_sq
-    return diag_r, diag_t, s * s * np.sin(theta) / c
-
-
 def _names_regular_polygon(n: int, m: int) -> bool:
     """Whether n vertices turning m times in all can form a regular polygon: 0 < 2m < n."""
     return 0 < 2 * m < n
 
 
 def _regular_hessian_spectrum(n: int, m: int):
-    """(r, t, b, low, high) per harmonic j = 0 .. n-1: _regular_hessian_blocks and their eigenvalues.
+    """(r, t, b, radius, eigenvalues, rigid) per harmonic j = 0 .. n-1 of the Hessian of L + kappa Vol.
 
-    The eigenvalues of [[r, i b], [-i b, t]] are mean -+ radius, with
-    mean = (r + t) / 2 and radius = |((r - t) / 2, b)|.  Its callers cache
-    what they derive from it, so it keeps no array itself.
+    At the regular (n, m) polygon of radius 1 the Hessian is circulant in
+    each vertex's (radial, tangential) frame; at phase theta = 2 pi j / n,
+    with s = sin(pi m / n) and c = cos(pi m / n), its 2 x 2 Hermitian block
+    is [[r, i b], [-i b, t]] with r = 2 c^2 sin^2(theta/2) / s - 2 s cos(theta),
+    t = 2 s sin^2(theta/2) and b = s^2 sin(theta) / c.  Its eigenvalues, the
+    rows (low, high) of a (2, n) array, are mean -+ radius, with
+    mean = (r + t) / 2 and radius = |((r - t) / 2, b)|.  The three rigid
+    motions are its only null modes: rigid is True at the eigenvalue nearer
+    zero at j = 0, m and n - m, the one rule that leaves them out.  Its
+    callers cache what they derive from it, so it keeps no array itself.
     """
-    diag_r, diag_t, off = _regular_hessian_blocks(n, m)
-    mean = 0.5 * (diag_r + diag_t)
-    radius = np.hypot(0.5 * (diag_r - diag_t), off)
-    return diag_r, diag_t, off, mean - radius, mean + radius
+    theta = 2.0 * np.pi * np.arange(n) / n
+    s, c = np.sin(np.pi * m / n), np.cos(np.pi * m / n)
+    half_sq = np.sin(0.5 * theta) ** 2
+    r = 2.0 * c * c * half_sq / s - 2.0 * s * np.cos(theta)
+    t = 2.0 * s * half_sq
+    b = s * s * np.sin(theta) / c
+    mean = 0.5 * (r + t)
+    radius = np.hypot(0.5 * (r - t), b)
+    eigenvalues = np.stack([mean - radius, mean + radius])
+    rigid = np.zeros((2, n), dtype=bool)
+    harmonics = [0, m, n - m]
+    rigid[np.abs(eigenvalues[:, harmonics]).argmin(axis=0), harmonics] = True
+    return r, t, b, radius, eigenvalues, rigid
 
 
 @lru_cache(maxsize=256)
@@ -211,13 +209,13 @@ def _residual_conditioning(n: int, m: int) -> float:
     """Smallest nonzero singular value of the residual's Jacobian at the regular (n, m) polygon of radius 1.
 
     R A_k is the gradient of L + kappa Vol, so the singular values are the
-    absolute eigenvalues of its Hessian, those of _regular_hessian_spectrum.
-    The value falls as n^-3 for convex polygons: 0.224, 0.0297, 0.00377 and
-    0.000473 at n = 8, 16, 32 and 64, from the near-reparametrisations.
+    absolute eigenvalues of its Hessian, those of _regular_hessian_spectrum
+    outside its rigid motions.  The value falls as n^-3 for convex polygons:
+    0.224, 0.0297, 0.00377 and 0.000473 at n = 8, 16, 32 and 64, from the
+    near-reparametrisations.
     """
-    low, high = _regular_hessian_spectrum(n, m)[3:]
-    singular = np.abs(np.concatenate([low, high]))
-    return float(np.partition(singular, 3)[3])
+    eigenvalues, rigid = _regular_hessian_spectrum(n, m)[4:]
+    return float(np.abs(eigenvalues[~rigid]).min())
 
 
 @dataclass(frozen=True)

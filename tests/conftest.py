@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from polyvar import make_curve, regular_polygon
+
+# every @given test in the suite draws the same examples on every run
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 SQRT2 = np.sqrt(2.0)
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyvar import (
     DiscreteCurve,
@@ -175,6 +178,20 @@ def test_edge_curvature_cusp_adjacent():
             edge_curvature(path, 1)
 
 
+def test_edge_curvature_beyond_the_float_range_is_inf_with_no_warning():
+    """Edge 1 is 1e-310 long and turns by about pi/2 at both ends: its curvature, about -2e310, overflows."""
+    curve = make_curve([(0, 0), (1, 0), (1, 1e-310), (0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert edge_curvatures(curve)[1] == -np.inf
+
+
+def test_vertex_curvature_over_a_subnormal_line_element_is_inf_with_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(vertex_curvatures(regular_polygon(6), np.full(6, 1e-320)) == -np.inf)
+
+
 def test_edge_curvature_sine_identity(rng):
     # kappa(e_k) = sin((theta_k + theta_{k+1}) / 2) / L'_k
     for _ in range(20):
@@ -304,3 +321,78 @@ def test_smooth_limit_on_circle_polygonization():
     for seq in (errors, edge_errors):
         for e_n, e_2n in zip(seq, seq[1:]):
             assert 3.5 < e_n / e_2n < 4.5  # O(1/n^2) ratio test
+
+
+# ------------------------------------------------ psi at its own power of two
+
+def test_calculus_of_a_psi_whose_differences_overflow_the_curve_scale():
+    """Finite values, with no warning, where psi's differences over the scaled lengths overflowed."""
+    octagon = regular_polygon(8)
+    big = regular_polygon(8, 1, 1e300)
+    psi = np.zeros(8)
+    psi[3] = 3e307
+    ramp = np.arange(8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gradient = discrete_gradient(big, psi)
+        energy = dirichlet_energy(octagon, ramp * 1e153)
+        laplacian = discrete_laplacian(octagon, "half_edge_sum", ramp * 1e306)
+    assert gradient[2] == pytest.approx(3.92e7, rel=1e-3) and gradient[3] == -gradient[2]
+    assert gradient.tolist() == pytest.approx(discrete_gradient(octagon, psi * 1e-300).tolist(), rel=1e-12)
+    assert energy == pytest.approx(3.66e307, rel=1e-3)
+    assert energy == pytest.approx(1e306 * dirichlet_energy(octagon, ramp), rel=1e-14)
+    assert laplacian[0] == pytest.approx(1.3657e307, rel=1e-4)
+    assert laplacian[7] == pytest.approx(-laplacian[0], rel=1e-14)
+    assert np.abs(laplacian[1:7]).max() < 1e-14 * laplacian[0]  # zero but for round-off
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_laplacian_over_subnormal_custom_line_elements(closed):
+    """Custom line elements are taken at their own power of two too: a tiny psi over L = 1e-320 stays finite.
+
+    On the open curve the NaN line elements at its ends do not set that power of two.
+    """
+    curve = make_curve(regular_polygon(6).points, closed=closed)
+    psi = np.arange(6.0) ** 2
+    tiny = np.full(6, 1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        laplacian = discrete_laplacian(curve, tiny, psi * 1e-300)
+    expected = discrete_laplacian(curve, np.ones(6), psi) * (1e-300 / tiny[0])
+    np.testing.assert_allclose(laplacian, expected, rtol=1e-12)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(3, 12),
+    st.booleans(),
+    st.integers(-1000, 960),
+    st.integers(-960, 1023),
+    st.sampled_from(["vertex_osculating", "hatakeyama", "half_edge_sum"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_calculus_is_exact_under_a_power_of_two_of_psi(n, closed, k, j, scheme, seed):
+    """reader(c, psi 2^j) is ldexp(reader(c, psi), j) bit for bit, 2j for the energy, with no warning.
+
+    On a perturbed n-gon 2^k, open or closed, with psi in (-1, 1) so that
+    psi 2^j is finite and normal.  The comparison runs wherever
+    reader(c, psi) is normal, so that it holds every bit, and the ldexp of
+    it is finite.
+    """
+    rng = np.random.default_rng(seed)
+    points = regular_polygon(n).points + 0.1 * rng.standard_normal((n, 2)) / n
+    curve = make_curve(np.ldexp(points, k), closed=closed)
+    psi = rng.uniform(-1.0, 1.0, n)
+    readers = [
+        (lambda field: discrete_gradient(curve, field), j),
+        (lambda field: discrete_laplacian(curve, scheme, field), j),
+        (lambda field: dirichlet_energy(curve, field), 2 * j),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reader, power in readers:
+            base = np.asarray(reader(psi))
+            with np.errstate(over="ignore"):  # inf where the value is beyond the float range
+                expected = np.ldexp(base, power)
+            held = np.isfinite(expected) & (np.abs(base) >= np.finfo(float).tiny)
+            assert np.asarray(reader(np.ldexp(psi, j)))[held].tobytes() == expected[held].tobytes()

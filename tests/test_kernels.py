@@ -306,10 +306,10 @@ def test_the_ldexp_scan_sees_every_spelling():
 
 
 FREXP = re.compile(r"\bfrexp\b")
-# the curve's power of two (curves._scale_of), kappa's (variation._times_kappa) and a field's (stability._field_scale)
+# the curve's power of two (curves._scale_of), a field's (curves._field_scale) and kappa's (variation._times_kappa)
 FREXP_ALLOWED = [
     ("curves.py", "return math.frexp(diameter)"),
-    ("stability.py", "f = math.frexp(float(np.abs(values).max()))[1]"),
+    ("curves.py", "f = math.frexp(float(np.fmax.reduce(np.abs(values), axis=None, initial=0.0)))[1]"),
     ("variation.py", "k, g = math.frexp(kappa)"),
 ]
 

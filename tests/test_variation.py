@@ -244,6 +244,22 @@ def test_residual_conditioning_closed_form(n, m):
     assert _residual_conditioning(n, m) == pytest.approx(singular[3], rel=1e-6)
 
 
+def test_regular_spectrum_marks_exactly_the_three_rigid_motions():
+    """The mask holds one eigenvalue at each of j = 0, m and n - m, each zero to round-off and below every other.
+
+    Over criterion 8's range, n <= 64.  A count of negative eigenvalues must
+    leave these out: some of them round below zero.
+    """
+    eps = np.finfo(float).eps
+    for n in range(3, 65):
+        for m in range(1, (n + 1) // 2):
+            eigenvalues, rigid = variation._regular_hessian_spectrum(n, m)[4:]
+            size = np.abs(eigenvalues)
+            assert rigid.sum() == 3 and np.flatnonzero(rigid.any(axis=0)).tolist() == [0, m, n - m], (n, m)
+            assert size[rigid].max() <= 4 * n * eps * size.max(), (n, m)
+            assert size[~rigid].min() > size[rigid].max(), (n, m)
+
+
 def test_residual_conditioning_falls_as_n_cubed():
     sigma = [_residual_conditioning(n, 1) for n in (8, 16, 32, 64)]
     assert sigma == pytest.approx([0.224171, 0.0297007, 0.00376674, 0.000472549], rel=1e-5)
@@ -256,7 +272,7 @@ def test_newton_step_of_the_regular_polygon():
     """
     stiffest = {}
     for n in range(3, 4097):
-        low, high = variation._regular_hessian_spectrum(n, 1)[3:]
+        low, high = variation._regular_hessian_spectrum(n, 1)[4]
         stiffest[n] = max(np.abs(low).max(), np.abs(high).max()) * 2 * np.sin(np.pi / n)  # radius 1
     even = np.array([stiffest[n] for n in range(4, 4097, 2)])
     assert np.abs(even - 4).max() < 1e-14
