@@ -89,7 +89,8 @@ def curvature_vectors(curve: DiscreteCurve, scheme) -> np.ndarray:
     Equals minus the length gradient over L_k; independent of sigma.
     """
     values, e = _line_elements(curve, scheme)
-    return _unscaled(_by_rows(np.divide, -length_gradients(curve), values), -e)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _unscaled(_by_rows(np.divide, -length_gradients(curve), values), -e)
 
 
 def curvature_vector(curve: DiscreteCurve, scheme, k: int) -> np.ndarray:

@@ -50,8 +50,8 @@ psi on the vertices or their differences only in _field_scale.  With
 _scale_of, which takes an offset's points too, they are the only places
 that split a number into its mantissa and power of two.  diameter(), total_length and
 the * arrays are such results; only readers that return values in the
-caller's units, such as volume_gradients, parallel_curve and the points of
-the segment offset, read them.
+caller's units, such as offset_length, parallel_curve and the points of the
+segment offset, read them.
 Only this module and flow call ldexp, and variation._kappa, whose
 OverflowError is how it detects a vanishing area gradient.
 

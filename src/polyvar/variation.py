@@ -41,9 +41,20 @@ def length_gradient(curve: DiscreteCurve, k: int) -> np.ndarray:
 
 
 def volume_gradients(curve: DiscreteCurve) -> np.ndarray:
-    """Gradient of the signed enclosed area per vertex: (1/2) R(p_{k+1} - p_{k-1})."""
+    """Gradient of the signed enclosed area per vertex: (1/2) R(p_{k+1} - p_{k-1}), scaled back once."""
+    return _unscaled(*_scaled_volume_gradients(curve))
+
+
+def _scaled_volume_gradients(curve: DiscreteCurve):
+    """(u, e), u = gradVol / 2^e from the curve's chords at its power of two e: the one place the area gradient is built.
+
+    Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
+    (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
+    overflow or underflow of the chords or of |gradVol|^2 at the ends of the
+    float range.
+    """
     _require_closed(curve, "the volume gradient")
-    return _volume_gradients(curve.chords, curve.sigma)
+    return _volume_gradients(curve._scaled_chords, curve.sigma), curve._scale[1]
 
 
 def _volume_gradients(chords: np.ndarray, sigma: int) -> np.ndarray:
@@ -80,26 +91,10 @@ def first_variation(curve: DiscreteCurve, field, functional="length", kappa=0.0)
         return float(np.sum(grad * v))
     if functional not in ("volume", "length_plus_kappa_vol"):
         raise ValueError(f"unknown functional {functional!r}")
-    _require_closed(curve, "the volume gradient")
-    e = curve._scale[1]
-    u = _volume_gradients(curve._scaled_chords, curve.sigma)  # gradVol 2^-e
+    u, e = _scaled_volume_gradients(curve)  # gradVol 2^-e
     if functional == "volume":
         return float(_unscaled(np.sum(u * v), e))
     return float(np.sum((length_gradients(curve) + _unscaled(*_times_kappa(kappa, u, e))) * v))
-
-
-def _along_volume_gradient(curve: DiscreteCurve, field: np.ndarray):
-    """(field . u) / |u|^2, u and e, for u = gradVol / 2^e from the curve's chords at its power of two e.
-
-    Scaling by a power of two is exact, so (field . u) / |u|^2 * u is
-    (field . gradVol) / |gradVol|^2 * gradVol bit for bit, without the
-    overflow or underflow of the chords or of |gradVol|^2 at the ends of the
-    float range.  ZeroVolumeGradient if |gradVol| is at most 1e-14 of the diameter.
-    """
-    _require_closed(curve, "the volume gradient")
-    diameter, e = curve._scale
-    u = _volume_gradients(curve._scaled_chords, curve.sigma)
-    return _along(field, u, diameter), u, e
 
 
 def _along(field: np.ndarray, u: np.ndarray, diameter: float) -> float:
@@ -117,14 +112,14 @@ def project_volume_preserving(curve: DiscreteCurve, field) -> np.ndarray:
     round-off.
     """
     v = np.asarray(field, dtype=float)
-    c, u, _ = _along_volume_gradient(curve, v)
-    return v - c * u
+    u, _ = _scaled_volume_gradients(curve)
+    return v - _along(v, u, curve._scale[0]) * u
 
 
 def lagrange_kappa(curve: DiscreteCurve) -> float:
     """Least-squares kappa minimizing |grad L + kappa grad Vol|."""
-    c, _, e = _along_volume_gradient(curve, length_gradients(curve))
-    return _kappa(c, e)
+    u, e = _scaled_volume_gradients(curve)
+    return _kappa(_along(length_gradients(curve), u, curve._scale[0]), e)
 
 
 def _kappa(c: float, e: int) -> float:

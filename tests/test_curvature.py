@@ -362,6 +362,21 @@ def test_laplacian_over_subnormal_custom_line_elements(closed):
     np.testing.assert_allclose(laplacian, expected, rtol=1e-12)
 
 
+@given(st.integers(3, 16), st.integers(0, 2**32 - 1))
+def test_curvatures_of_custom_line_elements_across_the_float_range(n, seed):
+    """Custom line elements 2^u, u uniform in [-1074, 1023] per vertex: no warning and no NaN.
+
+    On a perturbed closed n-gon; a curvature beyond the float range is inf.
+    """
+    rng = np.random.default_rng(seed)
+    curve = make_curve(regular_polygon(n).points + 0.1 * rng.standard_normal((n, 2)) / n)
+    elements = np.ldexp(1.0, rng.integers(-1074, 1024, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (vertex_curvatures(curve, elements), curvature_vectors(curve, elements)):
+            assert not np.isnan(values).any()
+
+
 @settings(max_examples=150)
 @given(
     st.integers(3, 12),

@@ -26,7 +26,7 @@ from polyvar import (
 )
 from polyvar.errors import OpenCurve, ZeroVolumeGradient
 from polyvar.flow import _along_blocks, _along_chords, _start, _step
-from polyvar.variation import _along_volume_gradient, _regular_hessian_spectrum
+from polyvar.variation import _regular_hessian_spectrum, _scaled_volume_gradients
 
 from helpers import random_star_polygon
 
@@ -378,7 +378,7 @@ def test_chord_preconditioned_direction(rng):
         sigma = int(rng.choice([-1, 1]))
         curve = make_curve(random_star_polygon(rng, n).points * 10.0 ** rng.uniform(-6, 6), sigma=sigma)
         g = project_volume_preserving(curve, length_gradients(curve))
-        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        u, _ = _scaled_volume_gradients(curve)
         alpha = 1.0 / np.tan(np.pi / n) ** 2
         d = _along_chords(g, u, alpha)
         unit_u = u / np.hypot(u[:, 0], u[:, 1])[:, None]
@@ -583,7 +583,7 @@ def test_block_preconditioner_inverts_the_regular_hessian(n, m, sigma, reverse):
     if reverse:
         curve = curve.with_points(curve.points[::-1])
     hessian = _hessian(curve, lagrange_kappa(curve))
-    _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+    u, _ = _scaled_volume_gradients(curve)
     unit = np.eye(2 * n)
     columns = [_blocks(curve, unit[i].reshape(n, 2), u) for i in range(2 * n)]
     assert all(near for _, near in columns)  # delta = 0
@@ -616,7 +616,7 @@ def test_block_preconditioned_direction(rng):
         if rng.random() < 0.5:
             curve = curve.with_points(curve.points[::-1])
         g = project_volume_preserving(curve, length_gradients(curve))
-        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        u, _ = _scaled_volume_gradients(curve)
         blocks = _blocks(curve, g, u)
         if blocks is None:
             continue
@@ -633,7 +633,7 @@ def test_block_preconditioner_falls_back_without_a_regular_winding():
     cusp = make_curve([(0, 0), (2, 0), (1, 0), (1, 1)])
     for curve in (bowtie, cusp):
         g = project_volume_preserving(curve, length_gradients(curve))
-        _, u, _ = _along_volume_gradient(curve, length_gradients(curve))
+        u, _ = _scaled_volume_gradients(curve)
         assert _blocks(curve, g, u) is None
 
 

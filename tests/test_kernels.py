@@ -7,6 +7,7 @@ signed zeros included, must be the same bytes.  The source scan keeps the
 broadcast idiom out of the package.
 """
 
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -330,3 +331,49 @@ def test_the_frexp_scan_sees_every_spelling():
     for line in ("k, g = math.frexp(kappa)", "np.frexp(values)", "from math import frexp", "split = np.frexp"):
         assert FREXP.search(line), line
     assert not FREXP.search("math.ldexp(c, -e)") and not FREXP.search("_field_scale(values)")
+
+
+# ------------------------------------------------ the area gradient's one owner
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """The function around every call of name in the source, "<module>" outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append(scope)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_owner_and_the_flow_step_build_the_area_gradient():
+    """variation._scaled_volume_gradients builds a curve's area gradient; flow._step builds it on its own points."""
+    package = Path(polyvar.__file__).parent
+    found = [
+        (path.name, caller)
+        for path in sorted(package.glob("*.py"))
+        for caller in _callers(path.read_text(), "_volume_gradients")
+    ]
+    assert found == [("flow.py", "_step"), ("variation.py", "_scaled_volume_gradients")]
+
+
+def test_the_area_gradient_scan_sees_every_call():
+    source = """
+u = _volume_gradients(chords, 1)
+
+def outer(curve):
+    def inner():
+        return variation._volume_gradients(curve._scaled_chords, curve.sigma)
+    return [_volume_gradients(c, s) for c, s in inner()]
+
+def reader(curve):
+    return _scaled_volume_gradients(curve)
+"""
+    assert _callers(source, "_volume_gradients") == ["<module>", "inner", "outer"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyvar import (
     classify_equilibrium,
@@ -97,6 +98,35 @@ def test_volume_gradient_finite_differences(rng):
 def test_volume_gradient_open_curve():
     with pytest.raises(OpenCurve):
         volume_gradients(make_curve([(0, 0), (1, 0), (1, 1)], closed=False))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(3, 64),
+    st.sampled_from([-1, 1]),
+    st.integers(-1000, 1023),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=8, sigma=-1, j=1023, radius=1.669, seed=0)  # about regular_polygon(8, 1, 1.5e308)
+@example(n=3, sigma=1, j=1023, radius=1.5, seed=0)
+def test_volume_gradients_are_exact_under_a_power_of_two(n, sigma, j, radius, seed):
+    """volume_gradients(c 2^j) is ldexp(volume_gradients(c), j) bit for bit wherever that is finite.
+
+    On a perturbed n-gon c of radius in [1, 2) whose points scale by 2^j
+    exactly, so that both curves have the same points at their power of two.
+    The gradient is half the chords: near the top of the float range a chord
+    overflows where the gradient does not.
+    """
+    rng = np.random.default_rng(seed)
+    points = regular_polygon(n, 1, radius).points * (1.0 + 0.1 * rng.standard_normal((n, 2)) / n)
+    with np.errstate(over="ignore"):  # inf where a point or a value is beyond the float range
+        scaled = np.ldexp(points, j)
+        expected = np.ldexp(volume_gradients(make_curve(points, sigma=sigma)), j)
+    assume(np.array_equal(np.ldexp(scaled, -j), points))
+    held = np.isfinite(expected)
+    assert held.any()
+    assert volume_gradients(make_curve(scaled, sigma=sigma))[held].tobytes() == expected[held].tobytes()
 
 
 def test_first_variation_translation_invariance(rng):
